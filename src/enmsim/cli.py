@@ -24,7 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import correlations, covariant, metrology, tomography, verification
+from . import (
+    correlations,
+    covariant,
+    lindblad,
+    metrology,
+    qstate,
+    tomography,
+    verification,
+)
 from .errors import ConfigError, EnmError, InfeasibleRates
 from .expressions import compile_rate_expression
 
@@ -123,6 +131,8 @@ def parse_config(argv) -> RunConfig:
             raise ConfigError(f"cannot parse --r0 {ns.r0!r}") from exc
         if len(parts) != 3:
             raise ConfigError("--r0 needs exactly three components")
+        if float(np.linalg.norm(parts)) > 1.0 + qstate.BLOCH_TOL:
+            raise ConfigError(f"--r0 {ns.r0!r} lies outside the Bloch ball")
         cfg.r0 = parts
     _validate(cfg)
     return cfg
@@ -184,9 +194,15 @@ def format_csv(headers, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_number(x) -> float | None:
+    x = float(x)
+    return x if np.isfinite(x) else None
+
+
 def format_json(headers, rows) -> str:
-    payload = [dict(zip(headers, (float(v) for v in row))) for row in rows]
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+    """Strict JSON: non-finite values (such as an infinite bound) become null."""
+    payload = [dict(zip(headers, (_json_number(v) for v in row))) for row in rows]
+    return json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def emit(cfg: RunConfig, headers, rows, sink) -> None:
@@ -210,10 +226,14 @@ def cmd_choi(cfg: RunConfig, sink) -> int:
     rows = []
     for t in time_grid(cfg):
         ch = covariant.channel_at(rates, float(t))
-        omega = covariant.choi_state(rates, float(t))
-        rows.append(
-            (t, ch.alpha, ch.beta, ch.shift, float(np.linalg.eigvalsh(omega).min()))
-        )
+        omega = lindblad.choi_of_map(ch.matrix, ch.shift_vector)
+        floor = float(np.linalg.eigvalsh(omega).min())
+        if floor < -covariant.CPTP_TOL:
+            raise InfeasibleRates(
+                f"channel is not completely positive at t={t:.12g}: "
+                f"minimum Choi eigenvalue {floor:.3e}"
+            )
+        rows.append((t, ch.alpha, ch.beta, ch.shift, floor))
     emit(cfg, ("t", "alpha", "beta", "c", "min_eigenvalue"), rows, sink)
     return EXIT_OK
 

@@ -354,7 +354,8 @@ def correlation_table(
     """
     points = []
     for t in np.asarray(times, dtype=float):
-        omega = covariant.choi_state(rates, float(t))
+        ch = covariant.channel_at(rates, float(t))
+        omega = lindblad.choi_of_map(ch.matrix, ch.shift_vector)
         points.append(
             CorrelationPoint(
                 t=float(t),
@@ -362,7 +363,7 @@ def correlation_table(
                 mutual_information=mutual_information(omega),
                 discord=xstate_discord(omega),
                 geometric_discord=geometric_discord(omega),
-                coherence=initial_coherence * coherence_factor(rates, float(t)),
+                coherence=initial_coherence * ch.alpha,
             )
         )
     return points

@@ -171,6 +171,13 @@ def check_negativity_law(seed: int = 0) -> CheckResult:
     )
 
 
+def _time_dependent_optimal_rates() -> covariant.CovariantRates:
+    """Optimal rates with a(t) = 1 + 0.5 sin t and x(t) = 0.3 cos t."""
+    return covariant.CovariantRates.optimal(
+        lambda t: 1.0 + 0.5 * np.sin(t), lambda t: 0.3 * np.cos(t)
+    )
+
+
 def check_optimal_rate(seed: int = 0) -> CheckResult:
     ts = np.geomspace(1e-3, 5.0, 50)
     rates0 = covariant.CovariantRates.optimal(1.0, 0.0)
@@ -178,8 +185,11 @@ def check_optimal_rate(seed: int = 0) -> CheckResult:
         abs(covariant.optimal_dephasing_rate(rates0, t) + np.tanh(t)) for t in ts
     )
     worst_fd = 0.0
-    for a, x in ((1.0, 0.0), (1.0, 0.5), (2.0, 1.0)):
-        rates = covariant.CovariantRates.optimal(a, x)
+    cases = [
+        covariant.CovariantRates.optimal(a, x)
+        for a, x in ((1.0, 0.0), (1.0, 0.5), (2.0, 1.0))
+    ]
+    for rates in [*cases, _time_dependent_optimal_rates()]:
         for t in np.linspace(0.05, 4.0, 12):
             h = 1e-6 * max(1.0, t)
             fd = (
@@ -199,8 +209,8 @@ def check_optimal_rate(seed: int = 0) -> CheckResult:
 def check_saturation(seed: int = 0) -> CheckResult:
     grid = _ode_grid()
     worst = 0.0
-    for x in (0.0, 0.5):
-        rates = covariant.CovariantRates.optimal(1.0, x)
+    cases = [covariant.CovariantRates.optimal(1.0, x) for x in (0.0, 0.5)]
+    for rates in [*cases, _time_dependent_optimal_rates()]:
         for t in grid:
             eig = np.linalg.eigvalsh(covariant.choi_state(rates, t)).min()
             worst = max(worst, abs(float(eig)))

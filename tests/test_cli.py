@@ -118,6 +118,33 @@ def test_infeasible_rates_exit_two():
     assert cli.main(["correlations", "--a", "1", "--x", "2", "--f", "optimal"]) == 2
 
 
+def test_choi_refuses_non_cp_channel(capsys):
+    assert cli.main(["choi", "--f", "constant:-5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_r0_outside_bloch_ball_exit_one(capsys):
+    with pytest.raises(ConfigError):
+        cli.parse_config(["trajectory", "--r0", "2,0,0"])
+    assert cli.main(["trajectory", "--r0", "2,0,0"]) == 1
+    assert capsys.readouterr().out == ""
+    code, _ = run_cli(["trajectory", "--r0", "0.6,0,0.8", "--points", "3"])
+    assert code == 0
+
+
+def test_json_output_is_strict():
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    code, out = run_cli("qfi --omega 1 --t-max 5 --points 6 --format json".split())
+    assert code == 0
+    rows = json.loads(out, parse_constant=reject)
+    assert rows[0]["t"] == 0.0 and rows[0]["cramer_rao"] is None
+    assert all(isinstance(row["cramer_rao"], float) for row in rows[1:])
+
+
 def test_verify_quick_suites_pass():
     code, out = run_cli(["verify", "--suite", "roundtrip,subadditivity", "--seed", "7"])
     assert code == 0

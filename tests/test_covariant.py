@@ -190,6 +190,55 @@ def test_optimal_rate_general_time_dependent():
         )
 
 
+def _osc_a(t):
+    return 1.0 + 0.5 * np.sin(t)
+
+
+def _osc_x(t):
+    return 0.3 * np.cos(t)
+
+
+def _oscillating_optimal_rates():
+    return covariant.CovariantRates.optimal(_osc_a, _osc_x)
+
+
+def test_time_dependent_channel_independent_of_query_order():
+    fresh = _oscillating_optimal_rates()
+    warmed = _oscillating_optimal_rates()
+    covariant.channel_at(warmed, 5.0)
+    covariant.channel_at(warmed, 0.3)
+    assert covariant.channel_at(fresh, 2.0) == covariant.channel_at(warmed, 2.0)
+
+
+def test_time_dependent_lz_matches_ode_reference():
+    rates = _oscillating_optimal_rates()
+    ts = np.linspace(0.0, 6.0, 41)
+    sol = solve_ivp(
+        lambda s, r: [-2 * _osc_a(s) * r[0] - 2 * _osc_x(s)],
+        (0.0, 6.0),
+        [0.0],
+        method="DOP853",
+        rtol=1e-13,
+        atol=1e-15,
+        t_eval=ts,
+    )
+    lz = [covariant.rate_integrals(rates, float(t)).lz for t in ts]
+    np.testing.assert_allclose(lz, sol.y[0], rtol=0.0, atol=1e-12)
+
+
+def test_time_dependent_optimal_rate_matches_integral_derivative():
+    rates = _oscillating_optimal_rates()
+    for t in np.linspace(0.1, 4.0, 9):
+        h = 1e-6 * max(1.0, t)
+        fd = (
+            covariant.optimal_dephasing_integral(rates, t + h)
+            - covariant.optimal_dephasing_integral(rates, t - h)
+        ) / (2 * h)
+        assert covariant.optimal_dephasing_rate(rates, t) == pytest.approx(
+            fd, abs=1e-6
+        )
+
+
 def test_optimal_rate_requires_feasible_asymmetry():
     with pytest.raises(InfeasibleRates):
         covariant.CovariantRates.optimal(1.0, 1.5)
