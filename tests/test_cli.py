@@ -112,10 +112,21 @@ def test_config_errors_exit_one():
     assert cli.main(["unknown-command"]) == 1
     assert cli.main(["coherence", "--f", "expr:sin(t)"]) == 1
     assert cli.main(["trajectory", "--r0", "1,2"]) == 1
+    for flags in ("choi --a nan", "choi --x inf", "coherence --t-min nan",
+                  "coherence --t-max inf", "qfi --omega nan", "spectrum --s-max nan",
+                  "choi --f constant:nan", "trajectory --r0 nan,0,0",
+                  "trajectory --r0 0,-inf,0"):
+        assert cli.main(flags.split()) == 1, flags
 
 
-def test_infeasible_rates_exit_two():
+def test_infeasible_rates_exit_two(capsys):
     assert cli.main(["correlations", "--a", "1", "--x", "2", "--f", "optimal"]) == 2
+    capsys.readouterr()
+    for command in ("trajectory", "choi", "correlations", "coherence", "qfi"):
+        for rates in ("--f constant:-5", "--x 2 --f zero"):
+            assert cli.main([command, *rates.split(), "--points", "3"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and len(err.splitlines()) == 1, (command, rates)
 
 
 def test_choi_refuses_non_cp_channel(capsys):

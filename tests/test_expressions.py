@@ -41,3 +41,33 @@ def test_rejects_bad_syntax():
         compile_rate_expression("t; t")
     with pytest.raises(ConfigError):
         compile_rate_expression("[1,2]")
+
+
+def test_values_match_plain_float_arithmetic():
+    fn = compile_rate_expression("-0.5*sinh(2*t)/(cosh(t)^2) + exp(-t)^1.5")
+    for t in (0.0, 0.3, 1.7, 12.0):
+        expected = -0.5 * math.sinh(2 * t) / (math.cosh(t) ** 2) + math.exp(-t) ** 1.5
+        assert fn(t) == expected
+
+
+@pytest.mark.parametrize(
+    "text, t",
+    [
+        ("exp(1000*t)", 1.0),  # overflow
+        ("(-1)^t", 0.5),  # complex result
+        ("1/(t-1)", 1.0),  # division by zero
+        ("t*1e308*10", 1.0),  # infinite result
+        ("1e400", 0.0),  # infinite literal
+    ],
+)
+def test_arithmetic_failures_are_config_errors(text, t):
+    fn = compile_rate_expression(text)
+    with pytest.raises(ConfigError):
+        fn(t)
+
+
+def test_oversized_expressions_are_config_errors():
+    with pytest.raises(ConfigError):
+        compile_rate_expression("1" * 400)  # integer literal beyond float range
+    with pytest.raises(ConfigError):
+        compile_rate_expression("-" * 5000 + "t")  # nesting beyond the recursion limit
