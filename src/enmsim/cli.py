@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,24 +41,8 @@ EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFY = 3
 
-
-@dataclass
-class RunConfig:
-    command: str
-    a: float = 1.0
-    x: float = 0.0
-    f_mode: str = "optimal"
-    t_min: float = 0.0
-    t_max: float = 3.0
-    points: int = 50
-    spacing: str = "linear"
-    fmt: str = "csv"
-    seed: int = 0
-    omega: float = 1.0
-    r0: tuple[float, float, float] = (1.0, 0.0, 0.0)
-    s_max: float = 4.0
-    suite: str = "all"
-    suites: list[str] = field(default_factory=list)
+#: Largest grid a table command accepts; a bigger one would exhaust memory.
+MAX_POINTS = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,6 +61,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _bloch_vector(text: str) -> tuple[float, float, float]:
+    """Parse ``--r0``: three finite components inside the Bloch ball."""
+    parts = tuple(_finite_float(v) for v in text.split(","))
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError("needs exactly three components")
+    if float(np.linalg.norm(parts)) > 1.0 + qstate.BLOCH_TOL:
+        raise argparse.ArgumentTypeError(f"{text!r} lies outside the Bloch ball")
+    return parts
+
+
 def _add_rate_args(p):
     p.add_argument(
         "--a", type=_finite_float, default=1.0, help="transverse rate a >= 0"
@@ -85,6 +78,7 @@ def _add_rate_args(p):
     p.add_argument("--x", type=_finite_float, default=0.0, help="rate asymmetry x")
     p.add_argument(
         "--f",
+        dest="f_mode",
         default="optimal",
         help="dephasing rate: optimal | zero | constant:VALUE | expr:EXPRESSION",
     )
@@ -111,7 +105,8 @@ def build_parser() -> _Parser:
         _add_grid_args(p)
         _add_format_arg(p)
         if name == "trajectory":
-            p.add_argument("--r0", default="1,0,0", help="initial Bloch vector")
+            p.add_argument("--r0", type=_bloch_vector, default=(1.0, 0.0, 0.0),
+                           help="initial Bloch vector")
         if name == "qfi":
             p.add_argument("--omega", type=_finite_float, default=1.0)
 
@@ -126,52 +121,33 @@ def build_parser() -> _Parser:
     return parser
 
 
-def parse_config(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    for attr in ("a", "x", "t_min", "t_max", "points", "spacing", "fmt", "omega",
-                 "seed", "s_max"):
-        if hasattr(ns, attr):
-            setattr(cfg, attr, getattr(ns, attr))
-    if hasattr(ns, "f"):
-        cfg.f_mode = ns.f
-    if hasattr(ns, "suite"):
-        cfg.suite = ns.suite
-        cfg.suites = verification.resolve_suites(ns.suite)
-    if hasattr(ns, "r0"):
-        try:
-            parts = tuple(_finite_float(v) for v in ns.r0.split(","))
-        except argparse.ArgumentTypeError as exc:
-            raise ConfigError(f"cannot parse --r0 {ns.r0!r}: {exc}") from exc
-        if len(parts) != 3:
-            raise ConfigError("--r0 needs exactly three components")
-        if float(np.linalg.norm(parts)) > 1.0 + qstate.BLOCH_TOL:
-            raise ConfigError(f"--r0 {ns.r0!r} lies outside the Bloch ball")
-        cfg.r0 = parts
-    _validate(cfg)
+def parse_config(argv) -> argparse.Namespace:
+    cfg = build_parser().parse_args(argv)
+    if cfg.command == "verify":
+        cfg.suites = verification.resolve_suites(cfg.suite)
+    else:
+        _validate(cfg)
     return cfg
 
 
-def _validate(cfg: RunConfig) -> None:
-    if cfg.command == "verify":
-        return
+def _validate(cfg: argparse.Namespace) -> None:
+    if not 2 <= cfg.points <= MAX_POINTS:
+        raise ConfigError(f"points must be between 2 and {MAX_POINTS}")
     if cfg.command == "spectrum":
-        if cfg.s_max < 0 or cfg.points < 2:
-            raise ConfigError("need s-max >= 0 and points >= 2")
+        if cfg.s_max < 0:
+            raise ConfigError("s-max must be nonnegative")
         return
     if cfg.t_min < 0:
         raise ConfigError("t-min must be nonnegative")
     if cfg.t_max <= cfg.t_min:
         raise ConfigError("t-max must exceed t-min")
-    if cfg.points < 2:
-        raise ConfigError("points must be at least 2")
     if cfg.spacing == "log" and cfg.t_min <= 0:
         raise ConfigError("log spacing requires t-min > 0")
     if cfg.a < 0:
         raise ConfigError("rate a must be nonnegative")
 
 
-def rates_from_config(cfg: RunConfig) -> covariant.CovariantRates:
+def rates_from_config(cfg: argparse.Namespace) -> covariant.CovariantRates:
     mode = cfg.f_mode
     if mode == "optimal":
         if abs(cfg.x) > cfg.a:
@@ -191,13 +167,13 @@ def rates_from_config(cfg: RunConfig) -> covariant.CovariantRates:
     raise ConfigError(f"unknown f mode {mode!r}")
 
 
-def time_grid(cfg: RunConfig) -> np.ndarray:
+def time_grid(cfg: argparse.Namespace) -> np.ndarray:
     if cfg.spacing == "log":
         return np.geomspace(cfg.t_min, cfg.t_max, cfg.points)
     return np.linspace(cfg.t_min, cfg.t_max, cfg.points)
 
 
-def _cptp_rates(cfg: RunConfig) -> tuple[covariant.CovariantRates, np.ndarray]:
+def _cptp_rates(cfg: argparse.Namespace) -> tuple[covariant.CovariantRates, np.ndarray]:
     """The configured rates and grid, once the channel is CPTP at every time.
 
     Every rate command calls this before it writes anything, so a non-CPTP
@@ -236,12 +212,12 @@ def format_json(headers, rows) -> str:
     return json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def emit(cfg: RunConfig, headers, rows, sink) -> None:
+def emit(cfg: argparse.Namespace, headers, rows, sink) -> None:
     text = format_csv(headers, rows) if cfg.fmt == "csv" else format_json(headers, rows)
     sink.write(text)
 
 
-def cmd_trajectory(cfg: RunConfig, sink) -> int:
+def cmd_trajectory(cfg: argparse.Namespace, sink) -> int:
     rates, grid = _cptp_rates(cfg)
     r0 = np.asarray(cfg.r0, dtype=float)
     rows = []
@@ -252,7 +228,7 @@ def cmd_trajectory(cfg: RunConfig, sink) -> int:
     return EXIT_OK
 
 
-def cmd_choi(cfg: RunConfig, sink) -> int:
+def cmd_choi(cfg: argparse.Namespace, sink) -> int:
     rates, grid = _cptp_rates(cfg)
     rows = []
     for t in grid:
@@ -264,32 +240,22 @@ def cmd_choi(cfg: RunConfig, sink) -> int:
     return EXIT_OK
 
 
-def cmd_correlations(cfg: RunConfig, sink) -> int:
+def cmd_correlations(cfg: argparse.Namespace, sink) -> int:
     rates, grid = _cptp_rates(cfg)
     table = correlations.correlation_table(rates, grid)
-    rows = [
-        (
-            p.t,
-            p.negativity,
-            p.mutual_information,
-            p.discord,
-            p.geometric_discord,
-            p.coherence,
-        )
-        for p in table
-    ]
+    rows = [tuple(vars(p).values()) for p in table]  # the fields are the columns
     emit(cfg, ("t", "E", "I", "Q", "D", "C"), rows, sink)
     return EXIT_OK
 
 
-def cmd_coherence(cfg: RunConfig, sink) -> int:
+def cmd_coherence(cfg: argparse.Namespace, sink) -> int:
     rates, grid = _cptp_rates(cfg)
     rows = [(t, correlations.coherence_factor(rates, float(t))) for t in grid]
     emit(cfg, ("t", "C"), rows, sink)
     return EXIT_OK
 
 
-def cmd_qfi(cfg: RunConfig, sink) -> int:
+def cmd_qfi(cfg: argparse.Namespace, sink) -> int:
     rates, grid = _cptp_rates(cfg)
     setup = metrology.PhaseEstimationSetup(omega=cfg.omega, rates=rates)
     rows = []
@@ -301,7 +267,7 @@ def cmd_qfi(cfg: RunConfig, sink) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(cfg: RunConfig, sink) -> int:
+def cmd_spectrum(cfg: argparse.Namespace, sink) -> int:
     rows = []
     for s in np.linspace(0.0, cfg.s_max, cfg.points):
         moduli = tomography.spectrum_moduli(float(s))
@@ -315,7 +281,7 @@ def cmd_spectrum(cfg: RunConfig, sink) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, sink) -> int:
+def cmd_verify(cfg: argparse.Namespace, sink) -> int:
     results = verification.run_suites(cfg.suites, seed=cfg.seed)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -336,7 +302,7 @@ _COMMANDS = {
 }
 
 
-def run(cfg: RunConfig, sink) -> int:
+def run(cfg: argparse.Namespace, sink) -> int:
     """Execute a parsed configuration, writing data to the sink."""
     return _COMMANDS[cfg.command](cfg, sink)
 
@@ -345,9 +311,6 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(argv)
         return run(cfg, sys.stdout)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except InfeasibleRates as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

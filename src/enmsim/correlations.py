@@ -196,14 +196,12 @@ def _measurement_stats(rho):
     return s, w, t_mat
 
 
-def _brute_force_conditional_entropy(
-    rho, n_polar: int = 200, n_azimuth: int = 200, refine: bool = True
-) -> float:
+def _brute_force_conditional_entropy(rho) -> float:
     """Minimal conditional entropy over projective measurements on qubit B.
 
-    Measurement directions are sampled on a polar/azimuth grid with
-    golden-ratio offsets, then the best direction is polished with a local
-    simplex search.
+    Measurement directions are sampled on a 200 x 200 polar/azimuth grid
+    with golden-ratio offsets, then the best direction is polished with a
+    local simplex search.
     """
     s, w, t_mat = _measurement_stats(rho)
 
@@ -225,8 +223,8 @@ def _brute_force_conditional_entropy(
         return total
 
     golden = 0.6180339887498949
-    polar = np.pi * (np.arange(n_polar) + golden) / n_polar
-    azimuth = 2.0 * np.pi * (np.arange(n_azimuth) + golden) / n_azimuth
+    polar = np.pi * (np.arange(200) + golden) / 200
+    azimuth = 2.0 * np.pi * (np.arange(200) + golden) / 200
     pp, aa = np.meshgrid(polar, azimuth, indexing="ij")
     directions = np.stack(
         [np.sin(pp) * np.cos(aa), np.sin(pp) * np.sin(aa), np.cos(pp)]
@@ -234,8 +232,6 @@ def _brute_force_conditional_entropy(
     values = entropy_of(directions)
     best = int(np.argmin(values))
     best_val = float(values[best])
-    if not refine:
-        return best_val
     x0 = np.array([pp.ravel()[best], aa.ravel()[best]])
 
     def objective(angles):
@@ -256,13 +252,11 @@ def _brute_force_conditional_entropy(
     return best_val
 
 
-def discord_brute_force(
-    rho, n_polar: int = 200, n_azimuth: int = 200, refine: bool = True
-) -> float:
+def discord_brute_force(rho) -> float:
     """Quantum discord by direct minimization over measurements on qubit B."""
     rho = np.asarray(rho, dtype=complex)
     s_a = qstate.von_neumann_entropy(qstate.partial_trace(rho, "B"))
-    cond = _brute_force_conditional_entropy(rho, n_polar, n_azimuth, refine)
+    cond = _brute_force_conditional_entropy(rho)
     classical = s_a - cond
     return max(0.0, mutual_information(rho) - classical)
 
@@ -343,14 +337,13 @@ class CorrelationPoint:
     coherence: float
 
 
-def correlation_table(
-    rates: covariant.CovariantRates, times, initial_coherence: float = 1.0
-) -> list[CorrelationPoint]:
+def correlation_table(rates: covariant.CovariantRates, times) -> list[CorrelationPoint]:
     """Correlation measures of the Choi state along a time grid.
 
-    The negativity follows the closed form exp(-2A)/2 when the dephasing
-    rate is optimal; mutual information, discord and geometric discord are
-    evaluated numerically on the closed-form Choi state at each time.
+    Negativity, mutual information, discord and geometric discord are
+    evaluated numerically on the closed-form Choi state at each time; the
+    coherence is the transverse contraction alpha(t), the l1-coherence of
+    the channel's image of a state with unit initial coherence.
     """
     points = []
     for t in np.asarray(times, dtype=float):
@@ -363,7 +356,7 @@ def correlation_table(
                 mutual_information=mutual_information(omega),
                 discord=xstate_discord(omega),
                 geometric_discord=geometric_discord(omega),
-                coherence=initial_coherence * ch.alpha,
+                coherence=ch.alpha,
             )
         )
     return points

@@ -168,7 +168,14 @@ class RateIntegrals:
 
 
 def _quad(fn, lo, hi):
-    val, err = quad(fn, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)
+    # full_output returns QUADPACK's warning as a fourth item instead of printing it
+    val, err, _, *problem = quad(
+        fn, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200, full_output=1
+    )
+    if problem:
+        raise QuadratureFailed(
+            f"quadrature on [{lo:.12g}, {hi:.12g}] failed: {problem[0].splitlines()[0]}"
+        )
     if err > max(QUAD_TOL, 1e-10 * abs(val)):
         raise QuadratureFailed(f"quadrature error {err} too large")
     return val
@@ -331,14 +338,17 @@ def cptp_conditions(rates: CovariantRates, t: float) -> tuple[bool, bool, float]
     Returns (cond_a, cond_b, slack_b) where cond_a is
     exp(-2A) + |lz| <= 1, cond_b is 4 exp(-2A - 2F) + lz^2 <= (1+exp(-2A))^2
     and slack_b is the right-hand side minus the left-hand side of the
-    latter (zero when the optimal dephasing rate saturates it).
+    latter (zero when the optimal dephasing rate saturates it).  Overflow
+    and invalid arithmetic stay silent: an inf or NaN fails both
+    comparisons, so such rates are reported as not CPTP.
     """
-    ints = rate_integrals(rates, t)
-    u = np.exp(-2.0 * ints.int_a)
-    cond_a = u + abs(ints.lz) <= 1.0 + CPTP_TOL
-    lhs = 4.0 * np.exp(-2.0 * ints.int_a - 2.0 * ints.int_f) + ints.lz**2
-    rhs = (1.0 + u) ** 2
-    slack = float(rhs - lhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ints = rate_integrals(rates, t)
+        u = np.exp(-2.0 * ints.int_a)
+        cond_a = u + abs(ints.lz) <= 1.0 + CPTP_TOL
+        lhs = 4.0 * np.exp(-2.0 * ints.int_a - 2.0 * ints.int_f) + ints.lz**2
+        rhs = (1.0 + u) ** 2
+        slack = float(rhs - lhs)
     return bool(cond_a), bool(slack >= -CPTP_TOL), slack
 
 

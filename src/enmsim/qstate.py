@@ -128,7 +128,7 @@ def trace_norm(m) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
-def check_two_qubit_state(rho, psd_tol: float = PSD_TOL) -> np.ndarray:
+def check_two_qubit_state(rho) -> np.ndarray:
     """Validate a 4x4 density matrix and return it as an array."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -137,7 +137,7 @@ def check_two_qubit_state(rho, psd_tol: float = PSD_TOL) -> np.ndarray:
         raise NotAState("two-qubit state must have unit trace")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
         raise NotAState("two-qubit state must be Hermitian")
-    if np.linalg.eigvalsh(rho).min() < -psd_tol:
+    if np.linalg.eigvalsh(rho).min() < -PSD_TOL:
         raise NotAState("two-qubit state must be positive semidefinite")
     return rho
 

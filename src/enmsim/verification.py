@@ -80,10 +80,10 @@ def random_covariant_channel(
 # ---------------------------------------------------------------------------
 
 
-def check_roundtrip(seed: int = 0, instances: int = 100) -> CheckResult:
+def check_roundtrip(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(100):
         r = random_bloch(rng)
         state = qstate.bloch_to_density(r)
         back = qstate.density_to_bloch(state.rho)
@@ -98,10 +98,10 @@ def check_roundtrip(seed: int = 0, instances: int = 100) -> CheckResult:
     )
 
 
-def check_subadditivity(seed: int = 0, instances: int = 100) -> CheckResult:
+def check_subadditivity(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = -np.inf
-    for _ in range(instances):
+    for _ in range(100):
         rho = random_density(rng, 4)
         s_ab = qstate.von_neumann_entropy(rho)
         s_a = qstate.von_neumann_entropy(qstate.partial_trace(rho, "B"))
@@ -114,10 +114,10 @@ def check_subadditivity(seed: int = 0, instances: int = 100) -> CheckResult:
     )
 
 
-def check_monotonicity(seed: int = 0, instances: int = 100) -> CheckResult:
+def check_monotonicity(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = -np.inf
-    for _ in range(instances):
+    for _ in range(100):
         rho = random_density(rng, 4)
         matrix, shift = random_covariant_channel(rng)
         e0, i0 = correlations.negativity(rho), correlations.mutual_information(rho)
@@ -130,9 +130,9 @@ def check_monotonicity(seed: int = 0, instances: int = 100) -> CheckResult:
     )
 
 
-def check_discord_oracle(seed: int = 0, instances: int = 100) -> CheckResult:
+def check_discord_oracle(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
-    states = [random_x_state_mixed_marginal(rng) for _ in range(instances)]
+    states = [random_x_state_mixed_marginal(rng) for _ in range(100)]
     worst = max(
         abs(
             correlations.xstate_discord(x)
@@ -152,8 +152,8 @@ def check_discord_oracle(seed: int = 0, instances: int = 100) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _ode_grid(t_end: float = 5.0, points: int = 50) -> np.ndarray:
-    return np.concatenate([[0.0], np.geomspace(1e-3, t_end, points)])
+def _ode_grid(t_max: float = 5.0, points: int = 50) -> np.ndarray:
+    return np.concatenate([[0.0], np.geomspace(1e-3, t_max, points)])
 
 
 def check_negativity_law(seed: int = 0) -> CheckResult:

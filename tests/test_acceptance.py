@@ -24,9 +24,24 @@ def test_verify_suite(name):
     assert result.passed, result.detail
 
 
-def test_discord_oracle_is_seed_deterministic():
-    first = verification.check_discord_oracle(seed=SEED)
-    assert verification.check_discord_oracle(seed=SEED) == first
+def test_discord_oracle_is_seed_deterministic(monkeypatch):
+    draw = verification.random_x_state_mixed_marginal
+    runs = []
+
+    def recording(rng):
+        x = draw(rng)
+        runs[-1].append((*x.diag, x.rho14, x.rho23))
+        return x
+
+    monkeypatch.setattr(verification, "random_x_state_mixed_marginal", recording)
+    # only the drawn states matter here, not the slow oracle
+    monkeypatch.setattr(correlations, "discord_brute_force", lambda rho: 0.0)
+    for seed in (SEED, SEED, SEED + 1):
+        runs.append([])
+        verification.check_discord_oracle(seed=seed)
+    assert len(runs[0]) == 100
+    assert runs[0] == runs[1]
+    assert runs[2] != runs[0]
 
 
 def test_criterion_04_mutual_information_limit():

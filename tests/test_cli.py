@@ -105,20 +105,28 @@ def test_trajectory_r0():
     assert float(last[3]) == pytest.approx(expected, abs=1e-12)
 
 
-def test_config_errors_exit_one():
-    assert cli.main(["correlations", "--points", "1"]) == 1
-    assert cli.main(["correlations", "--spacing", "log"]) == 1  # t-min 0
-    assert cli.main(["correlations", "--t-min", "-1"]) == 1
-    assert cli.main(["unknown-command"]) == 1
-    assert cli.main(["coherence", "--f", "expr:sin(t)"]) == 1
-    assert cli.main(["trajectory", "--r0", "1,2"]) == 1
-    for flags in ("choi --a nan", "choi --x inf", "coherence --t-min nan",
+@pytest.mark.filterwarnings("error")  # a warning would print more than one line
+def test_config_errors_exit_one(capsys):
+    for flags in ("correlations --points 1", "correlations --spacing log",  # t-min 0
+                  "correlations --t-min -1", "unknown-command",
+                  "coherence --f expr:sin(t)", "trajectory --r0 1,2",
+                  "choi --a nan", "choi --x inf", "coherence --t-min nan",
                   "coherence --t-max inf", "qfi --omega nan", "spectrum --s-max nan",
                   "choi --f constant:nan", "trajectory --r0 nan,0,0",
-                  "trajectory --r0 0,-inf,0"):
+                  "trajectory --r0 0,-inf,0",
+                  # a divergent rate integral and rates quadrature cannot resolve
+                  "coherence --f expr:1/(t-1) --points 3 --t-max 3",
+                  "coherence --f expr:1/t --points 3", "trajectory --f expr:1e308",
+                  # grids too large to allocate
+                  "coherence --points 1000001",
+                  "spectrum --points 1000001",
+                  "coherence --points 1000000000000"):
         assert cli.main(flags.split()) == 1, flags
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, (flags, err)
 
 
+@pytest.mark.filterwarnings("error")  # a warning would print more than one line
 def test_infeasible_rates_exit_two(capsys):
     assert cli.main(["correlations", "--a", "1", "--x", "2", "--f", "optimal"]) == 2
     capsys.readouterr()
@@ -127,6 +135,12 @@ def test_infeasible_rates_exit_two(capsys):
             assert cli.main([command, *rates.split(), "--points", "3"]) == 2
             out, err = capsys.readouterr()
             assert out == "" and len(err.splitlines()) == 1, (command, rates)
+    # rates whose CPTP test overflows or turns NaN are refused the same way
+    for flags in ("choi --f constant:-1000 --points 3", "choi --x 1e300 --f constant:0",
+                  "choi --a 2.23e-309 --x 1 --f zero"):
+        assert cli.main(flags.split()) == 2, flags
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, (flags, err)
 
 
 def test_choi_refuses_non_cp_channel(capsys):

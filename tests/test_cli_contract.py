@@ -1,15 +1,16 @@
 """Seeded property test of the CLI contract over random flags and expressions.
 
 Every call ends in exit 0 with a table that strict parsers accept, in exit 1
-or 2 with an error on stderr and nothing on stdout, or in exit 3 (a failed
-verify report); no exception escapes ``main()``.
+or 2 with one error line on stderr, no warning and nothing on stdout, or in
+exit 3 (a failed verify report); no exception escapes ``main()``.
 """
 
 import contextlib
 import io
 import json
+import warnings
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from enmsim import cli
@@ -80,13 +81,19 @@ def _reject_constant(name):
 @settings(derandomize=True, max_examples=400, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(invocations())
+@example(["coherence", "--f", "expr:1/t", "--points", "3"])  # quadrature fails
+@example(["choi", "--f", "constant:-1000", "--points", "3"])  # CPTP test overflows
 def test_every_invocation_honours_the_exit_contract(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = cli.main(argv)
     assert code in (0, 1, 2, 3)
     if code in (1, 2):
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1
+        assert not caught, [str(w.message) for w in caught]
     if code == 0 and argv[0] != "verify":
         if "json" in argv:
             rows = json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -157,15 +157,6 @@ def test_choi_of_map_operator_basis_oracle():
     )
 
 
-def test_propagate_default_grid():
-    gen = lindblad.DecoherenceMatrix.constant(0.1 * np.eye(3))
-    pm = lindblad.propagate(gen, t_end=2.0)
-    assert pm.times[0] == 0.0
-    assert pm.times.size == 401
-    assert pm.times[1] == pytest.approx(1e-4)
-    assert pm.times[-1] == pytest.approx(2.0)
-
-
 def test_propagate_diverging_generator():
     from enmsim.errors import IntegratorDiverged
 
