@@ -15,6 +15,7 @@ from .correlations import (
     asymptotic_discord,
     asymptotic_mutual_information,
     binary_entropy,
+    correlation_point,
     correlation_table,
     discord_brute_force,
     geometric_discord,
@@ -59,6 +60,7 @@ from .metrology import (
     bloch_phase_derivative,
     bloch_with_phase,
     cramer_rao_bound,
+    fisher_from_coherence,
     fisher_information,
     fisher_information_bloch,
 )

@@ -66,7 +66,7 @@ def _bloch_vector(text: str) -> tuple[float, float, float]:
     parts = tuple(_finite_float(v) for v in text.split(","))
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("needs exactly three components")
-    if float(np.linalg.norm(parts)) > 1.0 + qstate.BLOCH_TOL:
+    if math.hypot(*parts) > 1.0 + qstate.BLOCH_TOL:
         raise argparse.ArgumentTypeError(f"{text!r} lies outside the Bloch ball")
     return parts
 
@@ -107,8 +107,6 @@ def build_parser() -> _Parser:
         if name == "trajectory":
             p.add_argument("--r0", type=_bloch_vector, default=(1.0, 0.0, 0.0),
                            help="initial Bloch vector")
-        if name == "qfi":
-            p.add_argument("--omega", type=_finite_float, default=1.0)
 
     p = sub.add_parser("spectrum")
     p.add_argument("--s-max", type=_finite_float, default=4.0)
@@ -173,21 +171,26 @@ def time_grid(cfg: argparse.Namespace) -> np.ndarray:
     return np.linspace(cfg.t_min, cfg.t_max, cfg.points)
 
 
-def _cptp_rates(cfg: argparse.Namespace) -> tuple[covariant.CovariantRates, np.ndarray]:
-    """The configured rates and grid, once the channel is CPTP at every time.
+def _channels(cfg: argparse.Namespace) -> list[tuple[float, covariant.CovariantChannelAt]]:
+    """(t, channel) at every grid time, once the channel is CPTP at all of them.
 
-    Every rate command calls this before it writes anything, so a non-CPTP
-    channel ends with exit 2 and no table.
+    Every rate command builds its rows from these snapshots, so the channel
+    it prints is the one that was checked, and a non-CPTP channel ends with
+    exit 2 and no table.  Overflow and invalid arithmetic stay silent: the
+    inf or NaN they leave fails the check.
     """
-    rates, grid = rates_from_config(cfg), time_grid(cfg)
-    for t in grid:
-        cond_a, cond_b, _ = covariant.cptp_conditions(rates, float(t))
-        if not (cond_a and cond_b):
-            broken = "4 alpha^2 + c^2 <= (1 + beta)^2" if cond_a else "e^-2A + |lz| <= 1"
-            raise InfeasibleRates(
-                f"channel is not completely positive at t={t:.12g}: {broken} fails"
-            )
-    return rates, grid
+    rates, pairs = rates_from_config(cfg), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in time_grid(cfg):
+            ch = covariant.channel_at(rates, float(t))
+            cond_a, cond_b, _ = covariant.cptp_conditions(ch)
+            if not (cond_a and cond_b):
+                broken = "4 alpha^2 + c^2 <= (1 + beta)^2" if cond_a else "e^-2A + |lz| <= 1"
+                raise InfeasibleRates(
+                    f"channel is not completely positive at t={t:.12g}: {broken} fails"
+                )
+            pairs.append((float(t), ch))
+    return pairs
 
 
 def _format_number(x: float) -> str:
@@ -218,21 +221,15 @@ def emit(cfg: argparse.Namespace, headers, rows, sink) -> None:
 
 
 def cmd_trajectory(cfg: argparse.Namespace, sink) -> int:
-    rates, grid = _cptp_rates(cfg)
     r0 = np.asarray(cfg.r0, dtype=float)
-    rows = []
-    for t in grid:
-        r = covariant.evolve_bloch(rates, r0, float(t))
-        rows.append((t, r[0], r[1], r[2]))
+    rows = [(t, *ch.apply(r0)) for t, ch in _channels(cfg)]
     emit(cfg, ("t", "r1", "r2", "r3"), rows, sink)
     return EXIT_OK
 
 
 def cmd_choi(cfg: argparse.Namespace, sink) -> int:
-    rates, grid = _cptp_rates(cfg)
     rows = []
-    for t in grid:
-        ch = covariant.channel_at(rates, float(t))
+    for t, ch in _channels(cfg):
         omega = lindblad.choi_of_map(ch.matrix, ch.shift_vector)
         floor = float(np.linalg.eigvalsh(omega).min())
         rows.append((t, ch.alpha, ch.beta, ch.shift, floor))
@@ -241,26 +238,24 @@ def cmd_choi(cfg: argparse.Namespace, sink) -> int:
 
 
 def cmd_correlations(cfg: argparse.Namespace, sink) -> int:
-    rates, grid = _cptp_rates(cfg)
-    table = correlations.correlation_table(rates, grid)
-    rows = [tuple(vars(p).values()) for p in table]  # the fields are the columns
+    rows = [  # the fields of a CorrelationPoint are the columns
+        tuple(vars(correlations.correlation_point(t, ch)).values())
+        for t, ch in _channels(cfg)
+    ]
     emit(cfg, ("t", "E", "I", "Q", "D", "C"), rows, sink)
     return EXIT_OK
 
 
 def cmd_coherence(cfg: argparse.Namespace, sink) -> int:
-    rates, grid = _cptp_rates(cfg)
-    rows = [(t, correlations.coherence_factor(rates, float(t))) for t in grid]
+    rows = [(t, ch.alpha) for t, ch in _channels(cfg)]
     emit(cfg, ("t", "C"), rows, sink)
     return EXIT_OK
 
 
 def cmd_qfi(cfg: argparse.Namespace, sink) -> int:
-    rates, grid = _cptp_rates(cfg)
-    setup = metrology.PhaseEstimationSetup(omega=cfg.omega, rates=rates)
     rows = []
-    for t in grid:
-        fisher = metrology.fisher_information(setup, float(t))
+    for t, ch in _channels(cfg):  # the |+> probe has C(t) = alpha(t)
+        fisher = metrology.fisher_from_coherence(t, ch.alpha)
         bound = metrology.cramer_rao_bound(fisher) if fisher > 1e-300 else np.inf
         rows.append((t, fisher, bound))
     emit(cfg, ("t", "qfi", "cramer_rao"), rows, sink)

@@ -322,11 +322,6 @@ def asymptotic_discord(ratio: float) -> float:
     )
 
 
-def coherence_factor(rates: covariant.CovariantRates, t: float) -> float:
-    """Transverse contraction alpha(t): C(t) = alpha(t) C(0)."""
-    return covariant.channel_at(rates, t).alpha
-
-
 @dataclass(frozen=True)
 class CorrelationPoint:
     t: float
@@ -337,29 +332,31 @@ class CorrelationPoint:
     coherence: float
 
 
-def correlation_table(rates: covariant.CovariantRates, times) -> list[CorrelationPoint]:
-    """Correlation measures of the Choi state along a time grid.
+def correlation_point(t: float, ch: covariant.CovariantChannelAt) -> CorrelationPoint:
+    """Correlation measures of the Choi state of the channel snapshot at t.
 
     Negativity, mutual information, discord and geometric discord are
-    evaluated numerically on the closed-form Choi state at each time; the
-    coherence is the transverse contraction alpha(t), the l1-coherence of
-    the channel's image of a state with unit initial coherence.
+    evaluated numerically on the closed-form Choi state; the coherence is
+    the transverse contraction alpha(t), the l1-coherence of the channel's
+    image of a state with unit initial coherence.
     """
-    points = []
-    for t in np.asarray(times, dtype=float):
-        ch = covariant.channel_at(rates, float(t))
-        omega = lindblad.choi_of_map(ch.matrix, ch.shift_vector)
-        points.append(
-            CorrelationPoint(
-                t=float(t),
-                negativity=negativity(omega),
-                mutual_information=mutual_information(omega),
-                discord=xstate_discord(omega),
-                geometric_discord=geometric_discord(omega),
-                coherence=ch.alpha,
-            )
-        )
-    return points
+    omega = lindblad.choi_of_map(ch.matrix, ch.shift_vector)
+    return CorrelationPoint(
+        t=t,
+        negativity=negativity(omega),
+        mutual_information=mutual_information(omega),
+        discord=xstate_discord(omega),
+        geometric_discord=geometric_discord(omega),
+        coherence=ch.alpha,
+    )
+
+
+def correlation_table(rates: covariant.CovariantRates, times) -> list[CorrelationPoint]:
+    """:func:`correlation_point` along a time grid, one channel per time."""
+    return [
+        correlation_point(float(t), covariant.channel_at(rates, float(t)))
+        for t in np.asarray(times, dtype=float)
+    ]
 
 
 def local_channel_contracts(rho, matrix, shift=None) -> tuple[float, float]:

@@ -312,6 +312,12 @@ class CovariantChannelAt:
     def shift_vector(self) -> np.ndarray:
         return np.array([0.0, 0.0, -self.shift])
 
+    def apply(self, r0) -> np.ndarray:
+        """Image (alpha r1, alpha r2, beta r3 - shift) of a Bloch vector."""
+        return np.array(
+            [self.alpha * r0[0], self.alpha * r0[1], self.beta * r0[2] - self.shift]
+        )
+
 
 def channel_at(rates: CovariantRates, t: float) -> CovariantChannelAt:
     """Contraction coefficients (alpha, beta) and longitudinal shift at t."""
@@ -325,31 +331,23 @@ def channel_at(rates: CovariantRates, t: float) -> CovariantChannelAt:
 
 def evolve_bloch(rates: CovariantRates, r0, t: float) -> np.ndarray:
     """Closed-form image of a Bloch vector under the covariant channel."""
-    ch = channel_at(rates, t)
-    r0 = np.asarray(r0, dtype=float)
-    return np.array(
-        [ch.alpha * r0[0], ch.alpha * r0[1], ch.beta * r0[2] - ch.shift]
-    )
+    return channel_at(rates, t).apply(np.asarray(r0, dtype=float))
 
 
-def cptp_conditions(rates: CovariantRates, t: float) -> tuple[bool, bool, float]:
-    """Both complete-positivity conditions at time t.
+def cptp_conditions(ch: CovariantChannelAt) -> tuple[bool, bool, float]:
+    """Both complete-positivity conditions of a channel snapshot.
 
-    Returns (cond_a, cond_b, slack_b) where cond_a is
-    exp(-2A) + |lz| <= 1, cond_b is 4 exp(-2A - 2F) + lz^2 <= (1+exp(-2A))^2
-    and slack_b is the right-hand side minus the left-hand side of the
-    latter (zero when the optimal dephasing rate saturates it).  Overflow
-    and invalid arithmetic stay silent: an inf or NaN fails both
-    comparisons, so such rates are reported as not CPTP.
+    Returns (cond_a, cond_b, slack_b) where cond_a is beta + |c| <= 1,
+    cond_b is 4 alpha^2 + c^2 <= (1 + beta)^2 and slack_b is the right-hand
+    side minus the left-hand side of the latter (zero when the optimal
+    dephasing rate saturates it), with c = shift and slack ``CPTP_TOL`` on
+    both.  The products are plain float multiplications, which overflow to
+    inf instead of raising: an inf or NaN coefficient makes the condition
+    it enters fail, so such a channel is never reported CPTP.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        ints = rate_integrals(rates, t)
-        u = np.exp(-2.0 * ints.int_a)
-        cond_a = u + abs(ints.lz) <= 1.0 + CPTP_TOL
-        lhs = 4.0 * np.exp(-2.0 * ints.int_a - 2.0 * ints.int_f) + ints.lz**2
-        rhs = (1.0 + u) ** 2
-        slack = float(rhs - lhs)
-    return bool(cond_a), bool(slack >= -CPTP_TOL), slack
+    beta, c = ch.beta, ch.shift
+    slack = (1.0 + beta) * (1.0 + beta) - (4.0 * ch.alpha * ch.alpha + c * c)
+    return bool(beta + abs(c) <= 1.0 + CPTP_TOL), bool(slack >= -CPTP_TOL), slack
 
 
 def choi_state(rates: CovariantRates, t: float) -> np.ndarray:

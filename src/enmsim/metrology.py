@@ -74,6 +74,16 @@ def bloch_phase_derivative(setup: PhaseEstimationSetup, t: float) -> np.ndarray:
     return t * np.array([-r[1], r[0], 0.0])
 
 
+def fisher_from_coherence(t: float, c: float) -> float:
+    """Fisher information t^2 C^2 of a probe with l1-coherence C at time t.
+
+    Exactly 0 when C = 0, also at times where t^2 overflows.
+    """
+    if c == 0.0:
+        return 0.0
+    return float(t * t * c * c)
+
+
 def fisher_information(setup: PhaseEstimationSetup, t: float) -> float:
     """Fisher information t^2 C(t)^2 of the covariant phase estimation.
 
@@ -82,8 +92,7 @@ def fisher_information(setup: PhaseEstimationSetup, t: float) -> float:
     """
     r0 = setup.initial.bloch
     c0 = float(np.hypot(r0[0], r0[1]))
-    c_t = c0 * covariant.channel_at(setup.rates, t).alpha
-    return float(t * t * c_t * c_t)
+    return fisher_from_coherence(t, c0 * covariant.channel_at(setup.rates, t).alpha)
 
 
 def cramer_rao_bound(fisher: float) -> float:

@@ -51,19 +51,6 @@ class QubitState:
             rho = rho.astype(dtype)
         return np.array(rho) if copy else rho
 
-    @classmethod
-    def from_bloch(cls, r) -> "QubitState":
-        return bloch_to_density(r)
-
-    @classmethod
-    def from_density(cls, rho) -> "QubitState":
-        rho = np.asarray(rho, dtype=complex)
-        if abs(np.trace(rho) - 1.0) > 1e-9:
-            raise NotAState("density matrix must have unit trace")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-9:
-            raise NotAState("density matrix must be Hermitian")
-        return cls(rho=rho, bloch=density_to_bloch(rho))
-
 
 def bloch_to_density(r) -> QubitState:
     """Build the qubit state (1 + r . sigma) / 2 from a Bloch vector."""

@@ -272,10 +272,8 @@ def check_coherence(seed: int = 0) -> CheckResult:
     worst = 0.0
     for idx, t in enumerate(grid):
         c_ode = float(np.hypot(pm.bloch[idx][0], pm.bloch[idx][1]))
-        worst = max(worst, abs(c_ode - correlations.coherence_factor(rates, t)))
-    tail = abs(
-        correlations.coherence_factor(rates, 30.0) - 0.5 * np.sqrt(1.0 - 0.25)
-    )
+        worst = max(worst, abs(c_ode - covariant.channel_at(rates, t).alpha))
+    tail = abs(covariant.channel_at(rates, 30.0).alpha - 0.5 * np.sqrt(1.0 - 0.25))
     ok = worst <= 1e-7 and tail <= 1e-5
     return CheckResult(
         "coherence",

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from enmsim import cli, verification
+from enmsim import cli, covariant, verification
 from enmsim.errors import ConfigError
 
 EXPECTED_HEADERS = {
@@ -113,7 +113,7 @@ def test_config_errors_exit_one(capsys):
                   "choi --a nan", "choi --x inf", "coherence --t-min nan",
                   "coherence --t-max inf", "qfi --omega nan", "spectrum --s-max nan",
                   "choi --f constant:nan", "trajectory --r0 nan,0,0",
-                  "trajectory --r0 0,-inf,0",
+                  "trajectory --r0 0,-inf,0", "trajectory --r0 0,0,1e300",
                   # a divergent rate integral and rates quadrature cannot resolve
                   "coherence --f expr:1/(t-1) --points 3 --t-max 3",
                   "coherence --f expr:1/t --points 3", "trajectory --f expr:1e308",
@@ -137,7 +137,11 @@ def test_infeasible_rates_exit_two(capsys):
             assert out == "" and len(err.splitlines()) == 1, (command, rates)
     # rates whose CPTP test overflows or turns NaN are refused the same way
     for flags in ("choi --f constant:-1000 --points 3", "choi --x 1e300 --f constant:0",
-                  "choi --a 2.23e-309 --x 1 --f zero"):
+                  "choi --a 2.23e-309 --x 1 --f zero",
+                  "coherence --a 0 --x -0.5 --f zero --t-max 1e200 --points 3",
+                  "trajectory --a 0 --x 1e150 --f zero --t-max 1e5 --points 3",
+                  "choi --a 0 --x 1 --f constant:3 --t-max 1e300 --points 3",
+                  "qfi --a 0 --x 1e200 --f constant:0.5 --t-max 3 --points 3 --format json"):
         assert cli.main(flags.split()) == 2, flags
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1, (flags, err)
@@ -163,11 +167,35 @@ def test_json_output_is_strict():
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
 
-    code, out = run_cli("qfi --omega 1 --t-max 5 --points 6 --format json".split())
+    code, out = run_cli("qfi --t-max 5 --points 6 --format json".split())
     assert code == 0
     rows = json.loads(out, parse_constant=reject)
     assert rows[0]["t"] == 0.0 and rows[0]["cramer_rao"] is None
     assert all(isinstance(row["cramer_rao"], float) for row in rows[1:])
+
+
+def test_qfi_is_zero_where_coherence_vanishes():
+    # alpha underflows to 0 while t^2 overflows: the Fisher information is 0, not NaN
+    base = "qfi --a 0.5 --x 0.5 --f constant:3 --t-max 1e300 --points 3".split()
+    _, out = run_cli(base)
+    assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["0", "0", "0"]
+    _, out = run_cli([*base, "--format", "json"])
+    assert [row["qfi"] for row in json.loads(out)] == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("command", ["trajectory", "choi", "correlations", "coherence", "qfi"])
+def test_one_channel_evaluation_per_grid_time(command, monkeypatch):
+    calls = []
+    rate_integrals = covariant.rate_integrals
+
+    def counting(rates, t):
+        calls.append(t)
+        return rate_integrals(rates, t)
+
+    monkeypatch.setattr(covariant, "rate_integrals", counting)
+    code, _ = run_cli([command, "--f", "expr:-0.9*tanh(t)", "--points", "50"])
+    assert code == 0
+    assert len(calls) == 50
 
 
 def test_verify_quick_suites_pass():

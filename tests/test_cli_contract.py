@@ -1,13 +1,15 @@
 """Seeded property test of the CLI contract over random flags and expressions.
 
-Every call ends in exit 0 with a table that strict parsers accept, in exit 1
-or 2 with one error line on stderr, no warning and nothing on stdout, or in
-exit 3 (a failed verify report); no exception escapes ``main()``.
+Every call ends in exit 0 with a table that strict parsers accept and that
+holds no NaN (in JSON, null only as the Cramer-Rao bound), in exit 1 or 2
+with one error line on stderr, no warning and nothing on stdout, or in exit 3
+(a failed verify report); no exception escapes ``main()``.
 """
 
 import contextlib
 import io
 import json
+import math
 import warnings
 
 from hypothesis import HealthCheck, example, given, settings
@@ -66,8 +68,6 @@ def invocations(draw):
             flags["--r0"] = st.lists(
                 number(-0.57, 0.57), min_size=3 - bad, max_size=3
             ).map(",".join)
-        if command == "qfi":
-            flags["--omega"] = number(-3.0, 3.0)
     for flag, values in flags.items():
         value = draw(st.none() | values)
         argv += [] if value is None else [flag, value]
@@ -83,6 +83,19 @@ def _reject_constant(name):
 @given(invocations())
 @example(["coherence", "--f", "expr:1/t", "--points", "3"])  # quadrature fails
 @example(["choi", "--f", "constant:-1000", "--points", "3"])  # CPTP test overflows
+# the CPTP test's products overflow
+@example(["coherence", "--a", "0", "--x", "-0.5", "--f", "zero", "--t-max", "1e200",
+          "--points", "3"])
+@example(["trajectory", "--a", "0", "--x", "1e150", "--f", "zero", "--t-max", "1e5",
+          "--points", "3"])
+@example(["choi", "--a", "0", "--x", "1", "--f", "constant:3", "--t-max", "1e300",
+          "--points", "3"])
+@example(["qfi", "--a", "0", "--x", "1e200", "--f", "constant:0.5", "--t-max", "3",
+          "--points", "3", "--format", "json"])
+# t^2 overflows where the coherence is 0
+@example(["qfi", "--a", "0.5", "--x", "0.5", "--f", "constant:3", "--t-max", "1e300",
+          "--points", "3"])
+@example(["trajectory", "--r0", "0,0,1e300"])  # the norm of --r0 overflows
 def test_every_invocation_honours_the_exit_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -97,9 +110,12 @@ def test_every_invocation_honours_the_exit_contract(argv):
     if code == 0 and argv[0] != "verify":
         if "json" in argv:
             rows = json.loads(out.getvalue(), parse_constant=_reject_constant)
+            assert all(v is not None for row in rows for k, v in row.items()
+                       if k != "cramer_rao"), rows
         else:
             header, *lines = out.getvalue().splitlines()
             keys = header.split(",")
             rows = [dict(zip(keys, map(float, line.split(",")))) for line in lines]
+            assert not any(math.isnan(v) for row in rows for v in row.values()), rows
         if argv[0] == "choi":
             assert all(row["min_eigenvalue"] >= -1e-9 for row in rows)

@@ -18,10 +18,10 @@ GOLDENS = {
                         "--format csv",
     "trajectory.csv": "trajectory --r0 0,0,1 --x 0.5 --f zero --t-max 2 --points 40",
     "coherence.csv": "coherence --f expr:-tanh(t) --t-max 4 --points 80",
-    "qfi.csv": "qfi --omega 1 --t-max 5 --points 60",
+    "qfi.csv": "qfi --t-max 5 --points 60",
     "spectrum.json": "spectrum --s-max 4 --points 100 --format json",
     "choi.csv": "choi --a 1 --x 0.3 --f optimal --t-max 3 --points 30",
-    "qfi.json": "qfi --omega 1 --t-max 5 --points 60 --format json",
+    "qfi.json": "qfi --t-max 5 --points 60 --format json",
     "choi-expr.csv": "choi --f expr:-0.9*tanh(t)",
     "correlations-expr.csv": "correlations --f expr:-0.9*tanh(t)",
     "coherence-expr.csv": "coherence --f expr:-0.9*tanh(t)",

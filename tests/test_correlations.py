@@ -80,11 +80,11 @@ def test_coherence_law_closed_form():
     for t in (0.2, 1.0, 3.0):
         u = np.exp(-2.0 * t)
         expected = 0.5 * np.sqrt((1 + u) ** 2 - 0.25 * (1 - u) ** 2)
-        assert correlations.coherence_factor(rates, t) == pytest.approx(
+        assert covariant.channel_at(rates, t).alpha == pytest.approx(
             expected, abs=1e-10
         )
     # nonzero in the limit for |x| < a
-    assert correlations.coherence_factor(rates, 30.0) == pytest.approx(
+    assert covariant.channel_at(rates, 30.0).alpha == pytest.approx(
         0.5 * np.sqrt(0.75), abs=1e-8
     )
 

@@ -95,7 +95,7 @@ def test_evolve_bloch_matches_ode():
 def test_cptp_conditions_free_dephasing():
     rates = covariant.CovariantRates.constant(1.0, 0.0, 0.0)
     for t in (0.5, 1.0, 3.0):
-        cond_a, cond_b, slack = covariant.cptp_conditions(rates, t)
+        cond_a, cond_b, slack = covariant.cptp_conditions(covariant.channel_at(rates, t))
         assert cond_a and cond_b
         u = np.exp(-2 * t)
         assert slack == pytest.approx((1 + u) ** 2 - 4 * u, abs=1e-12)
@@ -106,14 +106,14 @@ def test_cptp_saturated_by_optimal_rate():
     for x in (0.0, 0.5, 1.0):
         rates = covariant.CovariantRates.optimal(1.0, x)
         for t in (0.1, 0.7, 2.0, 5.0):
-            _, cond_b, slack = covariant.cptp_conditions(rates, t)
+            _, cond_b, slack = covariant.cptp_conditions(covariant.channel_at(rates, t))
             assert cond_b
             assert abs(slack) < 1e-8
 
 
 def test_cptp_violated_by_overly_negative_dephasing():
     rates = covariant.CovariantRates.constant(1.0, 0.0, -2.0)
-    _, cond_b, slack = covariant.cptp_conditions(rates, 1.0)
+    _, cond_b, slack = covariant.cptp_conditions(covariant.channel_at(rates, 1.0))
     assert not cond_b
     assert slack < 0
 
@@ -299,7 +299,7 @@ def test_choi_psd_iff_cptp():
     for t in (0.5, 1.5):
         assert np.linalg.eigvalsh(covariant.choi_state(good, t)).min() >= -1e-9
     assert np.linalg.eigvalsh(covariant.choi_state(bad, 1.5)).min() < -1e-4
-    assert not covariant.cptp_conditions(bad, 1.5)[1]
+    assert not covariant.cptp_conditions(covariant.channel_at(bad, 1.5))[1]
 
 
 def test_channel_invariants():
@@ -343,7 +343,7 @@ def test_unphysical_asymmetry_leaves_ball():
     horizon = 2.0 / margin
     failed = False
     for t in np.linspace(0.05, horizon, 40):
-        cond_a, _, _ = covariant.cptp_conditions(rates, t)
+        cond_a, _, _ = covariant.cptp_conditions(covariant.channel_at(rates, t))
         eig_min = np.linalg.eigvalsh(covariant.choi_state(rates, t)).min()
         if not cond_a or eig_min < -1e-9:
             failed = True
