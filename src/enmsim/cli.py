@@ -84,9 +84,9 @@ def _add_rate_args(p):
     )
 
 
-def _add_grid_args(p, t_max=3.0):
+def _add_grid_args(p):
     p.add_argument("--t-min", type=_finite_float, default=0.0)
-    p.add_argument("--t-max", type=_finite_float, default=t_max)
+    p.add_argument("--t-max", type=_finite_float, default=3.0)
     p.add_argument("--points", type=int, default=50)
     p.add_argument("--spacing", choices=("linear", "log"), default="linear")
 
@@ -152,16 +152,16 @@ def rates_from_config(cfg: argparse.Namespace) -> covariant.CovariantRates:
             raise InfeasibleRates("--f optimal requires |x| <= a")
         return covariant.CovariantRates.optimal(cfg.a, cfg.x)
     if mode == "zero":
-        return covariant.CovariantRates.constant(cfg.a, cfg.x, 0.0)
-    if mode.startswith("constant:"):
-        try:
-            value = _finite_float(mode.split(":", 1)[1])
+        return covariant.CovariantRates.from_callables(cfg.a, cfg.x, 0.0)
+    if mode.startswith(("constant:", "expr:")):
+        text = mode.split(":", 1)[1]
+        try:  # a plain number is a constant rate, integrated in closed form
+            f = _finite_float(text)
         except argparse.ArgumentTypeError as exc:
-            raise ConfigError(f"cannot parse {mode!r}: {exc}") from exc
-        return covariant.CovariantRates.constant(cfg.a, cfg.x, value)
-    if mode.startswith("expr:"):
-        fn = compile_rate_expression(mode.split(":", 1)[1])
-        return covariant.CovariantRates.from_callables(cfg.a, cfg.x, fn)
+            if mode.startswith("constant:"):
+                raise ConfigError(f"cannot parse {mode!r}: {exc}") from exc
+            f = compile_rate_expression(text)
+        return covariant.CovariantRates.from_callables(cfg.a, cfg.x, f)
     raise ConfigError(f"unknown f mode {mode!r}")
 
 
@@ -256,6 +256,8 @@ def cmd_qfi(cfg: argparse.Namespace, sink) -> int:
     rows = []
     for t, ch in _channels(cfg):  # the |+> probe has C(t) = alpha(t)
         fisher = metrology.fisher_from_coherence(t, ch.alpha)
+        if not math.isfinite(fisher):
+            raise ConfigError(f"Fisher information t^2 C^2 overflows at t={t:.12g}")
         bound = metrology.cramer_rao_bound(fisher) if fisher > 1e-300 else np.inf
         rows.append((t, fisher, bound))
     emit(cfg, ("t", "qfi", "cramer_rao"), rows, sink)

@@ -358,8 +358,3 @@ def correlation_table(rates: covariant.CovariantRates, times) -> list[Correlatio
         for t in np.asarray(times, dtype=float)
     ]
 
-
-def local_channel_contracts(rho, matrix, shift=None) -> tuple[float, float]:
-    """Negativity and mutual information after a local channel on qubit A."""
-    out = lindblad.apply_to_subsystem(rho, matrix, shift, "A")
-    return negativity(out), mutual_information(out)

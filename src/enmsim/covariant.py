@@ -329,11 +329,6 @@ def channel_at(rates: CovariantRates, t: float) -> CovariantChannelAt:
     )
 
 
-def evolve_bloch(rates: CovariantRates, r0, t: float) -> np.ndarray:
-    """Closed-form image of a Bloch vector under the covariant channel."""
-    return channel_at(rates, t).apply(np.asarray(r0, dtype=float))
-
-
 def cptp_conditions(ch: CovariantChannelAt) -> tuple[bool, bool, float]:
     """Both complete-positivity conditions of a channel snapshot.
 

@@ -384,7 +384,7 @@ def correlation_decay_report(
         m, v = pm.at(float(t))
         evolved = apply_to_subsystem(rho_ab, m, v, "A")
         distance, _, _ = closest_product_state(evolved)
-        replacer = qstate.bloch_to_density(v).rho
+        replacer = qstate.bloch_to_density(v)
         witness = float(qstate.trace_norm(evolved - np.kron(replacer, rho_b)))
         distance = min(distance, witness)
         bound = 2.0 * np.exp(-2.0 * rate * t)

@@ -10,7 +10,7 @@ coherence directly preserves metrological power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,17 +21,16 @@ PURE_TOL = 1e-12
 TANGENT_TOL = 1e-9
 
 
-def _plus_state() -> qstate.QubitState:
-    return qstate.bloch_to_density(np.array([1.0, 0.0, 0.0]))
-
-
 @dataclass(frozen=True)
 class PhaseEstimationSetup:
-    """Phase to estimate, covariant noise, and the probe's initial state."""
+    """Phase to estimate, covariant noise, and the probe's initial Bloch vector."""
 
     omega: float
     rates: covariant.CovariantRates
-    initial: qstate.QubitState = field(default_factory=_plus_state)
+    initial: tuple[float, float, float] = (1.0, 0.0, 0.0)
+
+    def __post_init__(self):
+        qstate.bloch_to_density(self.initial)  # raises BlochOutOfBall outside the ball
 
 
 def fisher_information_bloch(r, dr) -> float:
@@ -56,7 +55,7 @@ def fisher_information_bloch(r, dr) -> float:
 def bloch_with_phase(setup: PhaseEstimationSetup, t: float) -> np.ndarray:
     """Bloch vector at time t including the phase rotation."""
     ch = covariant.channel_at(setup.rates, t)
-    r0 = setup.initial.bloch
+    r0 = setup.initial
     angle = setup.omega * t
     cos_a, sin_a = np.cos(angle), np.sin(angle)
     return np.array(
@@ -90,7 +89,7 @@ def fisher_information(setup: PhaseEstimationSetup, t: float) -> float:
     The radial term of the Bloch formula vanishes identically here because
     the derivative is a pure rotation of the transverse components.
     """
-    r0 = setup.initial.bloch
+    r0 = setup.initial
     c0 = float(np.hypot(r0[0], r0[1]))
     return fisher_from_coherence(t, c0 * covariant.channel_at(setup.rates, t).alpha)
 

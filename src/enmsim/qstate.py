@@ -1,14 +1,11 @@
 """State algebra for one and two qubits.
 
-Density matrices are plain complex numpy arrays; a single qubit can also be
-carried around as a :class:`QubitState`, which pairs the 2x2 matrix with its
-Bloch vector r, rho = (1 + r . sigma) / 2.  Entropies are in bits (base-2
-logarithms throughout the package).
+Density matrices are plain complex numpy arrays; a single qubit is
+rho = (1 + r . sigma) / 2 for its Bloch vector r.  Entropies are in bits
+(base-2 logarithms throughout the package).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,34 +31,18 @@ _bell = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 BELL_PROJECTOR = np.outer(_bell, _bell.conj())
 
 BLOCH_TOL = 1e-9
-ALGEBRA_TOL = 1e-12
 PSD_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class QubitState:
-    """A qubit density matrix together with its Bloch vector."""
-
-    rho: np.ndarray
-    bloch: np.ndarray
-
-    def __array__(self, dtype=None, copy=None):
-        rho = self.rho
-        if dtype is not None:
-            rho = rho.astype(dtype)
-        return np.array(rho) if copy else rho
-
-
-def bloch_to_density(r) -> QubitState:
-    """Build the qubit state (1 + r . sigma) / 2 from a Bloch vector."""
+def bloch_to_density(r) -> np.ndarray:
+    """The qubit density matrix (1 + r . sigma) / 2 of a Bloch vector."""
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise ValueError("Bloch vector must have exactly 3 components")
     norm = float(np.linalg.norm(r))
     if norm > 1.0 + BLOCH_TOL:
         raise BlochOutOfBall(f"|r| = {norm} exceeds 1")
-    rho = 0.5 * (SIGMA_0 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z)
-    return QubitState(rho=rho, bloch=r.copy())
+    return 0.5 * (SIGMA_0 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z)
 
 
 def density_to_bloch(rho) -> np.ndarray:

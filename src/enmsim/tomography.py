@@ -25,11 +25,11 @@ import numpy as np
 from . import lindblad, qstate
 
 #: Refractive index difference between the two polarizations.
-DEFAULT_INDEX_DIFFERENCE = 0.0089
+INDEX_DIFFERENCE = 0.0089
 #: Standard deviation of the photon frequency distribution, Hz.
-DEFAULT_FREQUENCY_SPREAD = 1.44e12
+FREQUENCY_SPREAD = 1.44e12
 #: Central frequency of the photons, rad/s (only enters the kappa phase).
-DEFAULT_CENTRAL_FREQUENCY = 2.42e15
+CENTRAL_FREQUENCY = 2.42e15
 
 
 @dataclass(frozen=True)
@@ -69,39 +69,30 @@ def basis_decomposition(index: int) -> tuple[np.ndarray, np.ndarray, float]:
         raise ValueError("index must be 1, 2 or 3")
     axis = np.zeros(3)
     axis[index - 1] = 1.0
-    rho1 = qstate.bloch_to_density(axis).rho
-    rho2 = qstate.bloch_to_density(-axis).rho
+    rho1 = qstate.bloch_to_density(axis)
+    rho2 = qstate.bloch_to_density(-axis)
     return rho1, rho2, float(np.sqrt(2.0))
 
 
-@dataclass(frozen=True)
-class OpticalModel:
-    """Gaussian-spectrum optical dephasing parameters.
+def exponent(t: float) -> float:
+    """Dimensionless decoherence exponent s = delta^2 dn^2 t^2 / 2.
 
-    ``delta`` is the frequency standard deviation, ``delta_n`` the
-    refractive index difference of the two polarizations, ``omega0`` the
-    central frequency (enters only the phase of kappa).
+    delta is ``FREQUENCY_SPREAD`` and dn is ``INDEX_DIFFERENCE``.
     """
-
-    delta: float = DEFAULT_FREQUENCY_SPREAD
-    delta_n: float = DEFAULT_INDEX_DIFFERENCE
-    omega0: float = DEFAULT_CENTRAL_FREQUENCY
-
-    def exponent(self, t: float) -> float:
-        """Dimensionless decoherence exponent s = delta^2 dn^2 t^2 / 2."""
-        return 0.5 * (self.delta * self.delta_n * t) ** 2
-
-    def time_for_exponent(self, s: float) -> float:
-        """Interaction time realizing a given decoherence exponent."""
-        if s < 0:
-            raise ValueError("exponent must be nonnegative")
-        return float(np.sqrt(2.0 * s) / (self.delta * self.delta_n))
+    return 0.5 * (FREQUENCY_SPREAD * INDEX_DIFFERENCE * t) ** 2
 
 
-def decoherence_factor(model: OpticalModel, t: float) -> complex:
-    """kappa(t) = exp(-s - i dn omega0 t) for the Gaussian spectrum."""
+def time_for_exponent(s: float) -> float:
+    """Interaction time realizing a given decoherence exponent."""
+    if s < 0:
+        raise ValueError("exponent must be nonnegative")
+    return float(np.sqrt(2.0 * s) / (FREQUENCY_SPREAD * INDEX_DIFFERENCE))
+
+
+def decoherence_factor(t: float) -> complex:
+    """kappa(t) = exp(-s - i dn omega0 t), omega0 = ``CENTRAL_FREQUENCY``."""
     return complex(
-        np.exp(-model.exponent(t)) * np.exp(-1j * model.delta_n * model.omega0 * t)
+        np.exp(-exponent(t)) * np.exp(-1j * INDEX_DIFFERENCE * CENTRAL_FREQUENCY * t)
     )
 
 
@@ -112,13 +103,13 @@ def channel_from_exponent(s: float) -> tuple[np.ndarray, np.ndarray]:
     return matrix, np.zeros(3)
 
 
-def optical_channel(model: OpticalModel, t: float) -> tuple[np.ndarray, np.ndarray]:
+def optical_channel(t: float) -> tuple[np.ndarray, np.ndarray]:
     """Affine Bloch map realized by the interferometer after time t.
 
     Path phases are removed by compensators, so only |kappa| enters; the
     phased decoherence factor is available from :func:`decoherence_factor`.
     """
-    return channel_from_exponent(model.exponent(t))
+    return channel_from_exponent(exponent(t))
 
 
 def half_wave(angle_deg: float) -> np.ndarray:
@@ -166,7 +157,7 @@ def beam_splitter_map(kappa_mag: float) -> tuple[np.ndarray, np.ndarray]:
     image_zero = channel(qstate.SIGMA_0 / 2.0)
     shift = qstate.density_to_bloch(image_zero)
     for k in range(3):
-        plus = channel(qstate.bloch_to_density(np.eye(3)[k]).rho)
+        plus = channel(qstate.bloch_to_density(np.eye(3)[k]))
         matrix[:, k] = qstate.density_to_bloch(plus) - shift
     return matrix, shift
 

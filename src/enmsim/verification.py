@@ -85,13 +85,13 @@ def check_roundtrip(seed: int = 0) -> CheckResult:
     worst = 0.0
     for _ in range(100):
         r = random_bloch(rng)
-        state = qstate.bloch_to_density(r)
-        back = qstate.density_to_bloch(state.rho)
-        rebuilt = qstate.bloch_to_density(back).rho
+        rho = qstate.bloch_to_density(r)
+        back = qstate.density_to_bloch(rho)
+        rebuilt = qstate.bloch_to_density(back)
         worst = max(
             worst,
             float(np.max(np.abs(back - r))),
-            float(np.max(np.abs(rebuilt - state.rho))),
+            float(np.max(np.abs(rebuilt - rho))),
         )
     return CheckResult(
         "roundtrip", worst <= 1e-12, f"max round-trip error {worst:.3e} (tol 1e-12)"
@@ -121,7 +121,8 @@ def check_monotonicity(seed: int = 0) -> CheckResult:
         rho = random_density(rng, 4)
         matrix, shift = random_covariant_channel(rng)
         e0, i0 = correlations.negativity(rho), correlations.mutual_information(rho)
-        e1, i1 = correlations.local_channel_contracts(rho, matrix, shift)
+        out = lindblad.apply_to_subsystem(rho, matrix, shift, "A")
+        e1, i1 = correlations.negativity(out), correlations.mutual_information(out)
         worst = max(worst, e1 - e0, i1 - i0)
     return CheckResult(
         "monotonicity",
@@ -379,12 +380,18 @@ def check_spectrum(seed: int = 0) -> CheckResult:
     product_gap = abs(
         float(np.prod(m91)) - (0.5 * (1.0 + np.exp(-0.91))) ** 2 * np.exp(-0.91)
     )
+    optics_gap = 0.0  # the interferometer, built from wave plates, vs the closed form
+    for s in (0.2, 0.91, 1.7):
+        built = tomography.beam_splitter_map(np.exp(-s))
+        for got, want in zip(built, tomography.channel_from_exponent(s)):
+            optics_gap = max(optics_gap, float(np.max(np.abs(got - want))))
     ok = (
         worst <= 1e-10
         and monotone
         and choi_gap <= 1e-9
         and pin <= 1e-6
         and product_gap <= 1e-12
+        and optics_gap <= 1e-12
     )
     return CheckResult(
         "spectrum",
@@ -392,7 +399,8 @@ def check_spectrum(seed: int = 0) -> CheckResult:
         f"max moduli error {worst:.3e} (tol 1e-10), monotone={monotone}, "
         f"optical-vs-covariant Choi distance {choi_gap:.3e} (tol 1e-9), "
         f"s=0.91 moduli error {pin:.3e} (tol 1e-6), "
-        f"product error {product_gap:.3e} (tol 1e-12)",
+        f"product error {product_gap:.3e} (tol 1e-12), "
+        f"linear-optics construction error {optics_gap:.3e} (tol 1e-12)",
     )
 
 

@@ -116,7 +116,9 @@ def test_config_errors_exit_one(capsys):
                   "trajectory --r0 0,-inf,0", "trajectory --r0 0,0,1e300",
                   # a divergent rate integral and rates quadrature cannot resolve
                   "coherence --f expr:1/(t-1) --points 3 --t-max 3",
-                  "coherence --f expr:1/t --points 3", "trajectory --f expr:1e308",
+                  "coherence --f expr:1/t --points 3",
+                  # t^2 C^2 overflows where the coherence has not decayed
+                  "qfi --a 0 --x 0 --f zero --t-max 1e300 --points 3",
                   # grids too large to allocate
                   "coherence --points 1000001",
                   "spectrum --points 1000001",
@@ -181,6 +183,16 @@ def test_qfi_is_zero_where_coherence_vanishes():
     assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["0", "0", "0"]
     _, out = run_cli([*base, "--format", "json"])
     assert [row["qfi"] for row in json.loads(out)] == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("value", ["0.5", "-0.2", "1e308"])
+@pytest.mark.parametrize("command", ["trajectory", "choi", "correlations", "coherence", "qfi"])
+def test_plain_number_expr_is_the_constant_rate(command, value, capsys):
+    printed = []
+    for mode in ("expr", "constant"):
+        code = cli.main([command, "--f", f"{mode}:{value}", "--points", "5"])
+        printed.append((code, *capsys.readouterr()))
+    assert printed[0] == printed[1]
 
 
 @pytest.mark.parametrize("command", ["trajectory", "choi", "correlations", "coherence", "qfi"])

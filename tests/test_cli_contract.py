@@ -95,6 +95,9 @@ def _reject_constant(name):
 # t^2 overflows where the coherence is 0
 @example(["qfi", "--a", "0.5", "--x", "0.5", "--f", "constant:3", "--t-max", "1e300",
           "--points", "3"])
+# t^2 C^2 overflows where the coherence has not decayed
+@example(["qfi", "--a", "0", "--x", "0", "--f", "zero", "--t-max", "1e300",
+          "--points", "3", "--format", "json"])
 @example(["trajectory", "--r0", "0,0,1e300"])  # the norm of --r0 overflows
 def test_every_invocation_honours_the_exit_contract(argv):
     out, err = io.StringIO(), io.StringIO()

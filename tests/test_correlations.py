@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from enmsim import correlations, covariant, qstate
+from enmsim import correlations, covariant, lindblad, qstate
 from enmsim.errors import NotXState
 from enmsim.verification import (
     random_covariant_channel,
@@ -54,10 +54,10 @@ def test_mutual_information_examples():
 
 def test_l1_coherence_examples():
     assert correlations.l1_coherence(np.diag([0.3, 0.7])) == pytest.approx(0.0)
-    plus = qstate.bloch_to_density([1, 0, 0]).rho
+    plus = qstate.bloch_to_density([1, 0, 0])
     assert correlations.l1_coherence(plus) == pytest.approx(1.0)
     rates = covariant.CovariantRates.optimal(1.0, 0.0)
-    out = qstate.bloch_to_density(covariant.evolve_bloch(rates, [1, 0, 0], 1.0)).rho
+    out = qstate.bloch_to_density(covariant.channel_at(rates, 1.0).apply([1, 0, 0]))
     value = correlations.l1_coherence(out)
     assert value == pytest.approx(0.5 * (1 + np.exp(-2.0)), abs=1e-12)
     assert value == pytest.approx(0.567668, abs=1e-6)
@@ -69,7 +69,7 @@ def test_l1_coherence_equals_transverse_radius():
         r = rng.uniform(-1, 1, 3)
         if r @ r > 1:
             r /= np.linalg.norm(r)
-        rho = qstate.bloch_to_density(r).rho
+        rho = qstate.bloch_to_density(r)
         assert correlations.l1_coherence(rho) == pytest.approx(
             np.hypot(r[0], r[1]), abs=1e-12
         )
@@ -203,6 +203,7 @@ def test_local_noise_monotonicity():
     for _ in range(50):
         rho = random_density(rng, 4)
         matrix, shift = random_covariant_channel(rng)
-        e1, i1 = correlations.local_channel_contracts(rho, matrix, shift)
+        out = lindblad.apply_to_subsystem(rho, matrix, shift, "A")
+        e1, i1 = correlations.negativity(out), correlations.mutual_information(out)
         assert e1 <= correlations.negativity(rho) + 1e-9
         assert i1 <= correlations.mutual_information(rho) + 1e-9

@@ -61,18 +61,18 @@ def test_integrals_general_rates_match_quadrature():
 def test_evolve_bloch_examples():
     rates = covariant.CovariantRates.constant(1.0, 0.0, 0.0)
     np.testing.assert_allclose(
-        covariant.evolve_bloch(rates, [0.3, -0.4, 0.5], 0.0),
+        covariant.channel_at(rates, 0.0).apply([0.3, -0.4, 0.5]),
         [0.3, -0.4, 0.5],
         atol=1e-14,
     )
     np.testing.assert_allclose(
-        covariant.evolve_bloch(rates, [1.0, 0.0, 1.0], 1.0),
+        covariant.channel_at(rates, 1.0).apply([1.0, 0.0, 1.0]),
         [np.exp(-1.0), 0.0, np.exp(-2.0)],
         atol=1e-12,
     )
     pole = covariant.CovariantRates.constant(1.0, 1.0, 0.0)
     np.testing.assert_allclose(
-        covariant.evolve_bloch(pole, [0.0, 0.0, 0.0], 40.0), [0, 0, -1], atol=1e-12
+        covariant.channel_at(pole, 40.0).apply([0.0, 0.0, 0.0]), [0, 0, -1], atol=1e-12
     )
 
 
@@ -88,7 +88,7 @@ def test_evolve_bloch_matches_ode():
         for t in grid:
             m, v = pm.at(t)
             np.testing.assert_allclose(
-                m @ r0 + v, covariant.evolve_bloch(rates, r0, t), atol=1e-7
+                m @ r0 + v, covariant.channel_at(rates, t).apply(r0), atol=1e-7
             )
 
 
@@ -370,7 +370,7 @@ def test_asymptotic_image():
         r = rng.uniform(-1, 1, 3)
         if r @ r > 1:
             r /= np.linalg.norm(r)
-        image = covariant.evolve_bloch(rates, r, 30.0)
+        image = covariant.channel_at(rates, 30.0).apply(r)
         assert abs(image[2] - center) < 1e-6
         assert np.hypot(image[0], image[1]) <= radius + 1e-6
 

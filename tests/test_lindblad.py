@@ -6,7 +6,7 @@ from enmsim import covariant, lindblad, qstate
 from enmsim.errors import NonHermitianGamma, SingularIntermediateMap
 from enmsim.verification import random_bloch, random_density
 
-PLUS = qstate.bloch_to_density([1.0, 0.0, 0.0]).rho
+PLUS = qstate.bloch_to_density([1.0, 0.0, 0.0])
 
 
 def test_generator_zero_gamma():
@@ -34,7 +34,7 @@ def test_generator_isotropic_velocity():
     rng = np.random.default_rng(1)
     r = random_bloch(rng)
     c = 0.7
-    out = lindblad.apply_generator(c * np.eye(3), qstate.bloch_to_density(r).rho)
+    out = lindblad.apply_generator(c * np.eye(3), qstate.bloch_to_density(r))
     velocity = np.array([np.trace(s @ out).real for s in qstate.PAULI[1:]])
     np.testing.assert_allclose(velocity, -2.0 * c * r, atol=1e-12)
 
@@ -45,7 +45,7 @@ def test_generator_covariant_longitudinal_sign():
     rates = covariant.CovariantRates.constant(a, x, 0.0)
     r = np.array([0.3, -0.2, 0.4])
     out = lindblad.apply_generator(
-        covariant.gamma_matrix(rates, 0.0), qstate.bloch_to_density(r).rho
+        covariant.gamma_matrix(rates, 0.0), qstate.bloch_to_density(r)
     )
     rdot = np.array([np.trace(s @ out).real for s in qstate.PAULI[1:]])
     expected = np.array([-(a + 0) * r[0], -(a + 0) * r[1], -2 * a * r[2] - 2 * x])
@@ -298,8 +298,8 @@ def test_trace_distance_contraction_under_divisible_dynamics():
     pm = lindblad.propagate(gen, grid=grid)
     rng = np.random.default_rng(6)
     for _ in range(5):
-        rho = qstate.bloch_to_density(random_bloch(rng)).rho
-        sigma = qstate.bloch_to_density(random_bloch(rng)).rho
+        rho = qstate.bloch_to_density(random_bloch(rng))
+        sigma = qstate.bloch_to_density(random_bloch(rng))
         dists = []
         for t in grid:
             m, v = pm.at(t)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from enmsim import covariant, lindblad, metrology, qstate
-from enmsim.errors import SingularPureState, ZeroInformation
+from enmsim import covariant, lindblad, metrology
+from enmsim.errors import BlochOutOfBall, SingularPureState, ZeroInformation
 
 OPT = covariant.CovariantRates.optimal(1.0, 0.0)
 
@@ -135,10 +135,13 @@ def test_cramer_rao_examples():
 
 
 def test_custom_initial_state():
-    half = qstate.bloch_to_density([0.5, 0.0, 0.2])
-    setup = metrology.PhaseEstimationSetup(omega=1.0, rates=OPT, initial=half)
+    setup = metrology.PhaseEstimationSetup(
+        omega=1.0, rates=OPT, initial=(0.5, 0.0, 0.2)
+    )
     t = 1.0
     c_t = 0.5 * covariant.channel_at(OPT, t).alpha
     assert metrology.fisher_information(setup, t) == pytest.approx(
         t**2 * c_t**2, abs=1e-12
     )
+    with pytest.raises(BlochOutOfBall):
+        metrology.PhaseEstimationSetup(omega=1.0, rates=OPT, initial=(1.1, 0.0, 0.0))

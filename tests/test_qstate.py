@@ -15,13 +15,13 @@ def test_pauli_basis_orthonormal():
 
 def test_bloch_to_density_examples():
     np.testing.assert_allclose(
-        qstate.bloch_to_density([0, 0, 0]).rho, np.eye(2) / 2, atol=1e-15
+        qstate.bloch_to_density([0, 0, 0]), np.eye(2) / 2, atol=1e-15
     )
     np.testing.assert_allclose(
-        qstate.bloch_to_density([0, 0, 1]).rho, np.diag([1.0, 0.0]), atol=1e-15
+        qstate.bloch_to_density([0, 0, 1]), np.diag([1.0, 0.0]), atol=1e-15
     )
     np.testing.assert_allclose(
-        qstate.bloch_to_density([1, 0, 0]).rho, np.full((2, 2), 0.5), atol=1e-15
+        qstate.bloch_to_density([1, 0, 0]), np.full((2, 2), 0.5), atol=1e-15
     )
 
 
@@ -45,10 +45,10 @@ def test_bloch_roundtrip_property():
     rng = np.random.default_rng(11)
     for _ in range(100):
         r = random_bloch(rng)
-        state = qstate.bloch_to_density(r)
-        np.testing.assert_allclose(qstate.density_to_bloch(state.rho), r, atol=1e-12)
-        assert abs(np.trace(state.rho) - 1) < 1e-12
-        assert np.max(np.abs(state.rho - state.rho.conj().T)) < 1e-12
+        rho = qstate.bloch_to_density(r)
+        np.testing.assert_allclose(qstate.density_to_bloch(rho), r, atol=1e-12)
+        assert abs(np.trace(rho) - 1) < 1e-12
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
 
 
 def test_entropy_examples():
