@@ -61,6 +61,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """Parse ``--seed``: numpy's generators take only non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
+
+
 def _bloch_vector(text: str) -> tuple[float, float, float]:
     """Parse ``--r0``: three finite components inside the Bloch ball."""
     parts = tuple(_finite_float(v) for v in text.split(","))
@@ -115,7 +126,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify")
     p.add_argument("--suite", default="all", help="all or comma-separated names")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     return parser
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from . import covariant, lindblad, qstate
-from .errors import MarginalNotMixed, NotXState
+from .errors import NotXState
 
 X_SHAPE_TOL = 1e-10
 MIXED_MARGINAL_TOL = 1e-9
@@ -162,8 +162,6 @@ def _discord_candidates(x: XState) -> tuple[float, DiscordWitness]:
     a bounded one-dimensional search over the polar angle then guards
     against the rare X states whose optimum is at an interior angle.
     """
-    if not x.marginal_a_is_mixed:
-        raise MarginalNotMixed("first marginal is not maximally mixed")
     candidates = [(0.0, 1.0, 0.0), (np.pi, 0.0, 1.0), (np.pi / 2.0, 0.5, 0.5)]
     best = None
     for polar, k, l in candidates:
@@ -273,12 +271,11 @@ def xstate_discord_details(rho) -> DiscordResult:
         x = rho
     else:
         x = XState.from_density(rho)
-    try:
+    if x.marginal_a_is_mixed:
         value, witness = _discord_candidates(x)
         return DiscordResult(value=value, method="candidates", witness=witness)
-    except MarginalNotMixed:
-        value = discord_brute_force(x.to_density())
-        return DiscordResult(value=value, method="brute-force", witness=None)
+    value = discord_brute_force(x.to_density())
+    return DiscordResult(value=value, method="brute-force", witness=None)
 
 
 def xstate_discord(rho) -> float:

@@ -86,21 +86,7 @@ class CovariantRates:
     )
 
     @classmethod
-    def constant(cls, a: float, x: float = 0.0, f: float = 0.0) -> "CovariantRates":
-        a_fn, _ = _as_rate(a)
-        x_fn, _ = _as_rate(x)
-        f_fn, _ = _as_rate(f)
-        return cls(
-            a=a_fn,
-            x=x_fn,
-            f=f_fn,
-            a_const=float(a),
-            x_const=float(x),
-            f_const=float(f),
-        )
-
-    @classmethod
-    def optimal(cls, a: RateLike, x: RateLike = 0.0) -> "CovariantRates":
+    def optimal(cls, a: RateLike, x: RateLike) -> "CovariantRates":
         """Rates (a, x) with f set to the correlation-optimal dephasing rate.
 
         Requires |x(t)| <= a(t) wherever the channel is evaluated.

@@ -41,10 +41,6 @@ class NotXState(EnmError):
     """Density matrix does not have the X (diagonal + anti-diagonal) shape."""
 
 
-class MarginalNotMixed(EnmError):
-    """Reduced state of the unmeasured qubit is not maximally mixed."""
-
-
 class SingularPureState(EnmError):
     """Fisher information formula singular: |r| = 1 with non-tangent derivative."""
 

@@ -122,7 +122,9 @@ def test_config_errors_exit_one(capsys):
                   # grids too large to allocate
                   "coherence --points 1000001",
                   "spectrum --points 1000001",
-                  "coherence --points 1000000000000"):
+                  "coherence --points 1000000000000",
+                  # numpy's generators refuse a negative seed
+                  "verify --suite roundtrip --seed -1"):
         assert cli.main(flags.split()) == 1, flags
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1, (flags, err)
@@ -220,7 +222,7 @@ def test_verify_quick_suites_pass():
 
 def test_verify_reports_failure_with_exit_three(monkeypatch):
     def failing(seed=0):
-        return verification.CheckResult("broken", False, "forced failure")
+        return verification.CheckResult("broken", (("forced failure", 1.0, 0.0),))
 
     monkeypatch.setitem(verification._SUITES, "broken", failing)
     sink = io.StringIO()

@@ -7,7 +7,7 @@ from enmsim.errors import InfeasibleRates
 
 
 def test_gamma_matrix_eigenvalues():
-    rates = covariant.CovariantRates.constant(1.2, 0.4, -0.3)
+    rates = covariant.CovariantRates.from_callables(1.2, 0.4, -0.3)
     gamma = covariant.gamma_matrix(rates, 0.0)
     assert np.max(np.abs(gamma - gamma.conj().T)) < 1e-12
     eig = np.sort(np.linalg.eigvalsh(gamma))
@@ -15,7 +15,7 @@ def test_gamma_matrix_eigenvalues():
 
 
 def test_integrals_constant_rate():
-    rates = covariant.CovariantRates.constant(1.0, 0.0, 0.0)
+    rates = covariant.CovariantRates.from_callables(1.0, 0.0, 0.0)
     ints = covariant.rate_integrals(rates, 2.5)
     assert ints.int_a == pytest.approx(2.5, abs=1e-12)
     assert ints.lz == pytest.approx(0.0, abs=1e-15)
@@ -23,7 +23,7 @@ def test_integrals_constant_rate():
 
 def test_integrals_longitudinal_shift_sign():
     # lz must match the fixed point of dr3/dt = -2a r3 - 2x
-    rates = covariant.CovariantRates.constant(1.0, 0.5, 0.0)
+    rates = covariant.CovariantRates.from_callables(1.0, 0.5, 0.0)
     for t in (0.3, 1.0, 4.0):
         ints = covariant.rate_integrals(rates, t)
         assert ints.lz == pytest.approx(-0.5 * (1 - np.exp(-2 * t)), abs=1e-12)
@@ -59,7 +59,7 @@ def test_integrals_general_rates_match_quadrature():
 
 
 def test_evolve_bloch_examples():
-    rates = covariant.CovariantRates.constant(1.0, 0.0, 0.0)
+    rates = covariant.CovariantRates.from_callables(1.0, 0.0, 0.0)
     np.testing.assert_allclose(
         covariant.channel_at(rates, 0.0).apply([0.3, -0.4, 0.5]),
         [0.3, -0.4, 0.5],
@@ -70,7 +70,7 @@ def test_evolve_bloch_examples():
         [np.exp(-1.0), 0.0, np.exp(-2.0)],
         atol=1e-12,
     )
-    pole = covariant.CovariantRates.constant(1.0, 1.0, 0.0)
+    pole = covariant.CovariantRates.from_callables(1.0, 1.0, 0.0)
     np.testing.assert_allclose(
         covariant.channel_at(pole, 40.0).apply([0.0, 0.0, 0.0]), [0, 0, -1], atol=1e-12
     )
@@ -78,7 +78,7 @@ def test_evolve_bloch_examples():
 
 def test_evolve_bloch_matches_ode():
     for rates in (
-        covariant.CovariantRates.constant(1.0, 0.5, 0.0),
+        covariant.CovariantRates.from_callables(1.0, 0.5, 0.0),
         covariant.CovariantRates.optimal(1.0, 0.5),
     ):
         gen = covariant.decoherence_matrix(rates)
@@ -93,7 +93,7 @@ def test_evolve_bloch_matches_ode():
 
 
 def test_cptp_conditions_free_dephasing():
-    rates = covariant.CovariantRates.constant(1.0, 0.0, 0.0)
+    rates = covariant.CovariantRates.from_callables(1.0, 0.0, 0.0)
     for t in (0.5, 1.0, 3.0):
         cond_a, cond_b, slack = covariant.cptp_conditions(covariant.channel_at(rates, t))
         assert cond_a and cond_b
@@ -112,7 +112,7 @@ def test_cptp_saturated_by_optimal_rate():
 
 
 def test_cptp_violated_by_overly_negative_dephasing():
-    rates = covariant.CovariantRates.constant(1.0, 0.0, -2.0)
+    rates = covariant.CovariantRates.from_callables(1.0, 0.0, -2.0)
     _, cond_b, slack = covariant.cptp_conditions(covariant.channel_at(rates, 1.0))
     assert not cond_b
     assert slack < 0
@@ -242,7 +242,7 @@ def test_time_dependent_optimal_rate_matches_integral_derivative():
 def test_optimal_rate_requires_feasible_asymmetry():
     with pytest.raises(InfeasibleRates):
         covariant.CovariantRates.optimal(1.0, 1.5)
-    bad = covariant.CovariantRates.constant(1.0, 1.5, 0.0)
+    bad = covariant.CovariantRates.from_callables(1.0, 1.5, 0.0)
     with pytest.raises(InfeasibleRates):
         covariant.optimal_dephasing_rate(bad, 1.0)
 
@@ -294,8 +294,8 @@ def test_choi_state_literal_matrix():
 
 
 def test_choi_psd_iff_cptp():
-    good = covariant.CovariantRates.constant(1.0, 0.3, 0.1)
-    bad = covariant.CovariantRates.constant(1.0, 0.3, -1.5)
+    good = covariant.CovariantRates.from_callables(1.0, 0.3, 0.1)
+    bad = covariant.CovariantRates.from_callables(1.0, 0.3, -1.5)
     for t in (0.5, 1.5):
         assert np.linalg.eigvalsh(covariant.choi_state(good, t)).min() >= -1e-9
     assert np.linalg.eigvalsh(covariant.choi_state(bad, 1.5)).min() < -1e-4
@@ -320,7 +320,7 @@ def test_dephasing_splitting_commutes():
     # dephasing with integrated rate F - F_opt
     a, x = 1.0, 0.4
     opt = covariant.CovariantRates.optimal(a, x)
-    other = covariant.CovariantRates.constant(a, x, 0.2)
+    other = covariant.CovariantRates.from_callables(a, x, 0.2)
     for t in (0.5, 1.5, 3.0):
         ch_other = covariant.channel_at(other, t)
         ch_opt = covariant.channel_at(opt, t)
@@ -338,7 +338,7 @@ def test_dephasing_splitting_commutes():
 
 def test_unphysical_asymmetry_leaves_ball():
     # an eigenvalue a - x < -margin must break positivity of the dynamics
-    rates = covariant.CovariantRates.constant(1.0, 1.5, 0.0)
+    rates = covariant.CovariantRates.from_callables(1.0, 1.5, 0.0)
     margin = 0.5
     horizon = 2.0 / margin
     failed = False

@@ -42,7 +42,7 @@ def test_generator_isotropic_velocity():
 def test_generator_covariant_longitudinal_sign():
     # the covariant matrix must drive r3 toward -x/a: dr3/dt = -2a r3 - 2x
     a, x = 1.0, 0.5
-    rates = covariant.CovariantRates.constant(a, x, 0.0)
+    rates = covariant.CovariantRates.from_callables(a, x, 0.0)
     r = np.array([0.3, -0.2, 0.4])
     out = lindblad.apply_generator(
         covariant.gamma_matrix(rates, 0.0), qstate.bloch_to_density(r)
@@ -78,7 +78,7 @@ def test_propagate_isotropic_decay():
 
 
 def test_propagate_covariant_shift():
-    rates = covariant.CovariantRates.constant(1.0, 0.5, 0.0)
+    rates = covariant.CovariantRates.from_callables(1.0, 0.5, 0.0)
     gen = covariant.decoherence_matrix(rates)
     grid = np.linspace(0.0, 3.0, 13)
     pm = lindblad.propagate(gen, grid=grid, r0=np.array([0.0, 0.0, 1.0]))

@@ -112,8 +112,8 @@ def test_optimal_rate_maximizes_fisher():
     opt = covariant.CovariantRates.optimal(a, x)
     opt_rate = lambda t: covariant.optimal_dephasing_rate(opt, t)
     rivals = [
-        covariant.CovariantRates.constant(a, x, 0.0),
-        covariant.CovariantRates.constant(a, x, a),
+        covariant.CovariantRates.from_callables(a, x, 0.0),
+        covariant.CovariantRates.from_callables(a, x, a),
         covariant.CovariantRates.from_callables(a, x, lambda t: 0.5 * opt_rate(t)),
     ]
     for t in (0.3, 1.0, 2.5):

@@ -1,0 +1,55 @@
+"""The claim reduction of the verify registry: a NaN anywhere fails its claim."""
+
+import numpy as np
+import pytest
+
+from enmsim import correlations, qstate, verification
+
+
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_nan_fails_its_claim_wherever_it_sits(where):
+    values = [1e-13, 2e-13, 3e-13, 4e-13, 5e-13]
+    values[where] = np.nan
+    result = verification._result(
+        "nan", ("clean", [1e-13, 2e-13], 1e-12), ("dirty", values, 1e-12)
+    )
+    assert not result.passed
+    assert result.claims[0] == ("clean", 2e-13, 1e-12)
+    assert np.isnan(result.claims[1][1])
+
+
+def test_check_result_passes_when_every_claim_is_within_tolerance():
+    result = verification._result("ok", ("a", [0.5, 1.0], 1.0), ("b", -3.0, 0.0))
+    assert result.passed
+    assert result.detail == (
+        "a = 1.000e+00 (tol 1, margin 0.000e+00); "
+        "b = -3.000e+00 (tol 0, margin 3.000e+00)"
+    )
+    assert not verification.CheckResult("over", (("a", 1.5, 1.0),)).passed
+
+
+def test_negativity_law_fails_on_nan_negativity(monkeypatch):
+    negativity = correlations.negativity
+    calls = []
+
+    def mostly_nan(rho):  # NaN at 47 of the suite's 51 times
+        calls.append(rho)
+        return negativity(rho) if len(calls) <= 4 else np.nan
+
+    monkeypatch.setattr(correlations, "negativity", mostly_nan)
+    result = verification.check_negativity_law()
+    assert len(calls) == 51
+    assert not result.passed, result.detail
+
+
+def test_roundtrip_fails_on_nan_bloch_vectors(monkeypatch):
+    density_to_bloch = qstate.density_to_bloch
+
+    def with_nan(rho):
+        r = density_to_bloch(rho)
+        r[0] = np.nan
+        return r
+
+    monkeypatch.setattr(qstate, "density_to_bloch", with_nan)
+    result = verification.check_roundtrip()
+    assert not result.passed, result.detail
