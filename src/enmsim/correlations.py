@@ -1,10 +1,10 @@
 """Correlation and coherence quantifiers on two-qubit states.
 
-Includes entanglement negativity, quantum mutual information, the l1-norm
-of coherence, quantum discord of X states (measurement on the second qubit,
-with a brute-force projective-measurement oracle as fallback and cross
-check), geometric discord, and the closed-form trajectories and limits of
-all of these under the correlation-optimal covariant channel.
+Includes entanglement negativity, quantum mutual information, quantum
+discord of X states (measurement on the second qubit, with a brute-force
+projective-measurement oracle as fallback and cross check), geometric
+discord, and the closed-form trajectories and limits of all of these under
+the correlation-optimal covariant channel.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def binary_entropy(p: float) -> float:
 def negativity(rho) -> float:
     """Entanglement negativity (||rho^T_B||_1 - 1) / 2."""
     rho = np.asarray(rho, dtype=complex)
-    eig = np.linalg.eigvalsh(qstate.partial_transpose(rho, "B"))
+    eig = np.linalg.eigvalsh(qstate.partial_transpose(rho))
     return max(0.0, float((np.abs(eig).sum() - 1.0) / 2.0))
 
 
@@ -42,16 +42,6 @@ def mutual_information(rho) -> float:
     s_a = qstate.von_neumann_entropy(qstate.partial_trace(rho, "B"))
     s_b = qstate.von_neumann_entropy(qstate.partial_trace(rho, "A"))
     return max(0.0, s_a + s_b - qstate.von_neumann_entropy(rho))
-
-
-def l1_coherence(rho) -> float:
-    """l1-norm of coherence: the sum of absolute off-diagonal elements.
-
-    For a qubit this equals sqrt(r1^2 + r2^2) of its Bloch vector.
-    """
-    rho = np.asarray(np.asarray(rho), dtype=complex)
-    off = rho - np.diag(np.diag(rho))
-    return float(np.abs(off).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -346,21 +346,3 @@ def choi_state(rates: CovariantRates, t: float) -> np.ndarray:
     ch = channel_at(rates, t)
     return lindblad.choi_of_map(ch.matrix, ch.shift_vector)
 
-
-def asymptotic_image(rates: CovariantRates) -> tuple[float, float]:
-    """Limit geometry of the Bloch ball under the optimal channel.
-
-    For constant rates with |x| <= a and the optimal dephasing rate, the
-    ball flattens onto a disk of radius sqrt(1 - (x/a)^2) / 2 centered at
-    -x/a on the z-axis.  Returns (radius, center_z).
-    """
-    if not rates.is_constant_ax:
-        raise ValueError("asymptotic image requires constant a, x")
-    a, x = rates.a_const, rates.x_const
-    if a <= 0.0:
-        raise InfeasibleRates("asymptotic image requires a > 0")
-    q = x / a
-    if abs(q) > 1.0 + 1e-12:
-        raise InfeasibleRates("asymptotic image requires |x| <= a")
-    radius = 0.5 * np.sqrt(max(0.0, 1.0 - q**2))
-    return float(radius), float(-q)

@@ -93,21 +93,6 @@ def bloch_generator(gamma) -> tuple[np.ndarray, np.ndarray]:
     return drift, xi
 
 
-def apply_generator(gamma, rho) -> np.ndarray:
-    """One application of the dissipator: d(rho)/dt for the given gamma.
-
-    The returned 2x2 matrix is traceless and Hermitian.  The Hamiltonian
-    part is :attr:`DecoherenceMatrix.hamiltonian_rate`, used by :func:`propagate`.
-    """
-    gamma = np.asarray(gamma, dtype=complex)
-    drift, xi = bloch_generator(gamma)
-    r = qstate.density_to_bloch(np.asarray(rho, dtype=complex))
-    rdot = drift @ r + xi
-    return 0.5 * (
-        rdot[0] * qstate.SIGMA_X + rdot[1] * qstate.SIGMA_Y + rdot[2] * qstate.SIGMA_Z
-    )
-
-
 @dataclass(frozen=True)
 class PropagatedMap:
     """Affine Bloch maps r(t) = M_t r(0) + v_t on an ascending time grid."""
@@ -186,9 +171,7 @@ def propagate(gen: DecoherenceMatrix, grid: Sequence[float], r0=None) -> Propaga
     shifts = sol_y[9:].T.copy()
     pm = PropagatedMap(times=times, matrices=matrices, shifts=shifts)
     if r0 is not None:
-        pm = PropagatedMap(
-            times=times, matrices=matrices, shifts=shifts, bloch=pm.apply(r0)
-        )
+        object.__setattr__(pm, "bloch", pm.apply(r0))
     return pm
 
 
@@ -210,18 +193,13 @@ def choi_of_map(matrix, shift=None) -> np.ndarray:
     return qstate.density_from_pauli_tensor(tensor)
 
 
-def apply_to_subsystem(rho, matrix, shift=None, subsystem: str = "A") -> np.ndarray:
-    """Apply an affine Bloch map to one qubit of a two-qubit state."""
+def apply_to_first_qubit(rho, matrix, shift) -> np.ndarray:
+    """Apply an affine Bloch map to the first qubit of a two-qubit state."""
     m = np.asarray(matrix, dtype=float)
-    v = np.zeros(3) if shift is None else np.asarray(shift, dtype=float)
+    v = np.asarray(shift, dtype=float)
     tensor = qstate.pauli_tensor(rho)
     out = tensor.copy()
-    if subsystem == "A":
-        out[1:, :] = m @ tensor[1:, :] + np.outer(v, tensor[0, :])
-    elif subsystem == "B":
-        out[:, 1:] = tensor[:, 1:] @ m.T + np.outer(tensor[:, 0], v)
-    else:
-        raise ValueError("subsystem must be 'A' or 'B'")
+    out[1:, :] = m @ tensor[1:, :] + np.outer(v, tensor[0, :])
     return qstate.density_from_pauli_tensor(out)
 
 
@@ -358,22 +336,20 @@ class DecayRecord:
 
     t: float
     distance: float
-    bound: float
     witness_distance: float
-    satisfied: bool
 
 
 def correlation_decay_report(
-    gen: DecoherenceMatrix, rho_ab, grid: Sequence[float], rate: float
+    gen: DecoherenceMatrix, rho_ab, grid: Sequence[float]
 ) -> list[DecayRecord]:
-    """Check the exponential loss of correlations for gamma(t) >= rate * 1.
+    """Distance of the evolved state to the product states at each grid time.
 
-    For each grid time the channel is applied to qubit A of ``rho_ab``, the
-    trace distance to the closest product state is minimized numerically,
-    and compared with the bound 2 exp(-2 rate t); a record is satisfied
-    when the distance exceeds the bound by at most 1e-6.  The replacer
-    product state built from the inhomogeneous part of the solution is also
-    evaluated as an independent upper bound (``witness_distance``).
+    For each grid time the channel is applied to qubit A of ``rho_ab`` and
+    the trace distance to the closest product state is minimized
+    numerically; for gamma(t) >= c 1 it must stay below 2 exp(-2 c t).  The
+    replacer product state built from the inhomogeneous part of the
+    solution is also evaluated as an independent upper bound
+    (``witness_distance``).
     """
     rho_ab = qstate.check_two_qubit_state(rho_ab)
     grid = np.asarray(grid, dtype=float)
@@ -382,19 +358,12 @@ def correlation_decay_report(
     records = []
     for t in grid:
         m, v = pm.at(float(t))
-        evolved = apply_to_subsystem(rho_ab, m, v, "A")
+        evolved = apply_to_first_qubit(rho_ab, m, v)
         distance, _, _ = closest_product_state(evolved)
         replacer = qstate.bloch_to_density(v)
         witness = float(qstate.trace_norm(evolved - np.kron(replacer, rho_b)))
         distance = min(distance, witness)
-        bound = 2.0 * np.exp(-2.0 * rate * t)
         records.append(
-            DecayRecord(
-                t=float(t),
-                distance=distance,
-                bound=float(bound),
-                witness_distance=witness,
-                satisfied=bool(distance <= bound + 1e-6),
-            )
+            DecayRecord(t=float(t), distance=distance, witness_distance=witness)
         )
     return records

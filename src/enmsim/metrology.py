@@ -10,27 +10,13 @@ coherence directly preserves metrological power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import covariant, qstate
+from . import covariant
 from .errors import SingularPureState, ZeroInformation
 
 PURE_TOL = 1e-12
 TANGENT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class PhaseEstimationSetup:
-    """Phase to estimate, covariant noise, and the probe's initial Bloch vector."""
-
-    omega: float
-    rates: covariant.CovariantRates
-    initial: tuple[float, float, float] = (1.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        qstate.bloch_to_density(self.initial)  # raises BlochOutOfBall outside the ball
 
 
 def fisher_information_bloch(r, dr) -> float:
@@ -52,25 +38,13 @@ def fisher_information_bloch(r, dr) -> float:
     return value + radial**2 / (1.0 - squared)
 
 
-def bloch_with_phase(setup: PhaseEstimationSetup, t: float) -> np.ndarray:
-    """Bloch vector at time t including the phase rotation."""
-    ch = covariant.channel_at(setup.rates, t)
-    r0 = setup.initial
-    angle = setup.omega * t
-    cos_a, sin_a = np.cos(angle), np.sin(angle)
-    return np.array(
-        [
-            ch.alpha * (cos_a * r0[0] - sin_a * r0[1]),
-            ch.alpha * (sin_a * r0[0] + cos_a * r0[1]),
-            ch.beta * r0[2] - ch.shift,
-        ]
-    )
-
-
-def bloch_phase_derivative(setup: PhaseEstimationSetup, t: float) -> np.ndarray:
-    """Analytic d r(t) / d omega: t times the z-rotation generator on r."""
-    r = bloch_with_phase(setup, t)
-    return t * np.array([-r[1], r[0], 0.0])
+def bloch_with_phase(
+    rates: covariant.CovariantRates, omega: float, t: float
+) -> np.ndarray:
+    """Bloch vector at time t of the |+> probe, including the phase rotation."""
+    ch = covariant.channel_at(rates, t)
+    angle = omega * t
+    return np.array([ch.alpha * np.cos(angle), ch.alpha * np.sin(angle), -ch.shift])
 
 
 def fisher_from_coherence(t: float, c: float) -> float:
@@ -83,15 +57,14 @@ def fisher_from_coherence(t: float, c: float) -> float:
     return float(t * t * c * c)
 
 
-def fisher_information(setup: PhaseEstimationSetup, t: float) -> float:
-    """Fisher information t^2 C(t)^2 of the covariant phase estimation.
+def fisher_information(rates: covariant.CovariantRates, t: float) -> float:
+    """Fisher information t^2 C(t)^2 of the |+> probe for any phase omega.
 
     The radial term of the Bloch formula vanishes identically here because
-    the derivative is a pure rotation of the transverse components.
+    the derivative is a pure rotation of the transverse components, and
+    the value does not depend on omega.
     """
-    r0 = setup.initial
-    c0 = float(np.hypot(r0[0], r0[1]))
-    return fisher_from_coherence(t, c0 * covariant.channel_at(setup.rates, t).alpha)
+    return fisher_from_coherence(t, covariant.channel_at(rates, t).alpha)
 
 
 def cramer_rao_bound(fisher: float) -> float:

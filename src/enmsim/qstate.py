@@ -19,10 +19,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 #: Identity plus the three Pauli matrices, indexed 0..3.
 PAULI = np.stack([SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z])
 
-#: Orthonormal single-qubit operator basis G_i = sigma_i / sqrt(2),
-#: satisfying Tr[G_i G_j] = delta_ij.
-PAULI_G = PAULI / np.sqrt(2.0)
-
 #: Two-qubit Pauli products, PAULI2[mu, nu] = kron(sigma_mu, sigma_nu).
 PAULI2 = np.einsum("mab,ncd->mnacbd", PAULI, PAULI).reshape(4, 4, 4, 4)
 
@@ -80,14 +76,10 @@ def partial_trace(rho, subsystem: str) -> np.ndarray:
     raise ValueError("subsystem must be 'A' or 'B'")
 
 
-def partial_transpose(rho, subsystem: str = "B") -> np.ndarray:
-    """Partial transpose of a two-qubit state over one subsystem."""
+def partial_transpose(rho) -> np.ndarray:
+    """Partial transpose of a two-qubit state over the second qubit."""
     r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    if subsystem == "B":
-        return r.transpose(0, 3, 2, 1).reshape(4, 4)
-    if subsystem == "A":
-        return r.transpose(2, 1, 0, 3).reshape(4, 4)
-    raise ValueError("subsystem must be 'A' or 'B'")
+    return r.transpose(0, 3, 2, 1).reshape(4, 4)
 
 
 def trace_norm(m) -> float:

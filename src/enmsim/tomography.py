@@ -28,8 +28,6 @@ from . import lindblad, qstate
 INDEX_DIFFERENCE = 0.0089
 #: Standard deviation of the photon frequency distribution, Hz.
 FREQUENCY_SPREAD = 1.44e12
-#: Central frequency of the photons, rad/s (only enters the kappa phase).
-CENTRAL_FREQUENCY = 2.42e15
 
 
 @dataclass(frozen=True)
@@ -57,23 +55,6 @@ def f_matrix(matrix, shift=None) -> ProcessMatrix:
     return ProcessMatrix(matrix=f, eigenvalues=np.linalg.eigvals(f))
 
 
-def basis_decomposition(index: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Two physical states whose scaled difference is G_index.
-
-    For index in {1, 2, 3} returns (rho1, rho2, c) with
-    (rho1 - rho2) / c = sigma_index / sqrt(2); both states are the pure
-    eigenstates of sigma_index and c = sqrt(2).  This is what makes the
-    process matrix measurable from channel outputs on physical states.
-    """
-    if index not in (1, 2, 3):
-        raise ValueError("index must be 1, 2 or 3")
-    axis = np.zeros(3)
-    axis[index - 1] = 1.0
-    rho1 = qstate.bloch_to_density(axis)
-    rho2 = qstate.bloch_to_density(-axis)
-    return rho1, rho2, float(np.sqrt(2.0))
-
-
 def exponent(t: float) -> float:
     """Dimensionless decoherence exponent s = delta^2 dn^2 t^2 / 2.
 
@@ -82,34 +63,11 @@ def exponent(t: float) -> float:
     return 0.5 * (FREQUENCY_SPREAD * INDEX_DIFFERENCE * t) ** 2
 
 
-def time_for_exponent(s: float) -> float:
-    """Interaction time realizing a given decoherence exponent."""
-    if s < 0:
-        raise ValueError("exponent must be nonnegative")
-    return float(np.sqrt(2.0 * s) / (FREQUENCY_SPREAD * INDEX_DIFFERENCE))
-
-
-def decoherence_factor(t: float) -> complex:
-    """kappa(t) = exp(-s - i dn omega0 t), omega0 = ``CENTRAL_FREQUENCY``."""
-    return complex(
-        np.exp(-exponent(t)) * np.exp(-1j * INDEX_DIFFERENCE * CENTRAL_FREQUENCY * t)
-    )
-
-
 def channel_from_exponent(s: float) -> tuple[np.ndarray, np.ndarray]:
     """Affine Bloch map of the optical channel at decoherence exponent s."""
     mag = float(np.exp(-s))
     matrix = np.diag([0.5 * (1.0 + mag), 0.5 * (1.0 + mag), mag])
     return matrix, np.zeros(3)
-
-
-def optical_channel(t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Affine Bloch map realized by the interferometer after time t.
-
-    Path phases are removed by compensators, so only |kappa| enters; the
-    phased decoherence factor is available from :func:`decoherence_factor`.
-    """
-    return channel_from_exponent(exponent(t))
 
 
 def half_wave(angle_deg: float) -> np.ndarray:

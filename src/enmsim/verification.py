@@ -136,7 +136,7 @@ def check_monotonicity(seed: int = 0) -> CheckResult:
         rho = random_density(rng, 4)
         matrix, shift = random_covariant_channel(rng)
         e0, i0 = correlations.negativity(rho), correlations.mutual_information(rho)
-        out = lindblad.apply_to_subsystem(rho, matrix, shift, "A")
+        out = lindblad.apply_to_first_qubit(rho, matrix, shift)
         e1, i1 = correlations.negativity(out), correlations.mutual_information(out)
         increases += [e1 - e0, i1 - i0]
     return _result(
@@ -238,7 +238,8 @@ def check_saturation(seed: int = 0) -> CheckResult:
 
 def check_limits(seed: int = 0) -> CheckResult:
     i_gaps, q_gaps, oracle_gaps = [], [], []
-    for ratio in (0.0, 0.3, 0.5, 0.7):
+    ratios = (0.0, 0.3, 0.5, 0.7)
+    for ratio in ratios:
         rates = covariant.CovariantRates.optimal(1.0, ratio)
         omega = covariant.choi_state(rates, 30.0)
         i_gaps.append(
@@ -253,12 +254,18 @@ def check_limits(seed: int = 0) -> CheckResult:
             pin = abs(discord - 0.311278)
         if ratio in (0.0, 0.5):
             oracle_gaps.append(abs(correlations.discord_brute_force(omega) - discord))
+    image_gaps = []  # the ball flattens onto a disk of radius sqrt(1 - q^2)/2 at -q
+    for q in (*ratios, 1.0):  # |x| = a: the disk shrinks to the point -1
+        ch = covariant.channel_at(covariant.CovariantRates.optimal(1.0, q), 30.0)
+        disk = np.array([0.5 * np.sqrt(1.0 - q * q), 0.0, -q])
+        image_gaps.append(np.abs(np.array([ch.alpha, ch.beta, -ch.shift]) - disk))
     return _result(
         "limits",
         ("max |I - limit|", i_gaps, 1e-4),
         ("max |Q - limit|", q_gaps, 1e-4),
         ("|Q(x=0) - 0.311278|", pin, 1e-4),
         ("max |Q - brute force|", oracle_gaps, 1e-4),
+        ("max |image - disk|", image_gaps, 1e-12),
     )
 
 
@@ -285,17 +292,12 @@ def check_qfi(seed: int = 0) -> CheckResult:
     relative, radial = [], []
     h = 1e-6
     for t in np.linspace(0.2, 3.0, 5):
+        fisher = metrology.fisher_information(rates, t)
         for omega in (0.1, 0.5, 1.0, 10.0):
-            setup = metrology.PhaseEstimationSetup(omega=omega, rates=rates)
-            fisher = metrology.fisher_information(setup, t)
-            plus = metrology.bloch_with_phase(
-                metrology.PhaseEstimationSetup(omega=omega + h, rates=rates), t
-            )
-            minus = metrology.bloch_with_phase(
-                metrology.PhaseEstimationSetup(omega=omega - h, rates=rates), t
-            )
+            plus = metrology.bloch_with_phase(rates, omega + h, t)
+            minus = metrology.bloch_with_phase(rates, omega - h, t)
             dr = (plus - minus) / (2.0 * h)
-            r = metrology.bloch_with_phase(setup, t)
+            r = metrology.bloch_with_phase(rates, omega, t)
             fd = metrology.fisher_information_bloch(r, dr)
             relative.append(abs(fd - fisher) / max(fisher, 1e-12))
             radial.append(abs(r @ dr))
@@ -309,15 +311,13 @@ def check_qfi(seed: int = 0) -> CheckResult:
 def check_decay_bound(seed: int = 0, ts=(0.5, 2.0)) -> CheckResult:
     rate = 0.5
     gen = lindblad.DecoherenceMatrix.constant(rate * np.eye(3))
-    records = lindblad.correlation_decay_report(
-        gen, qstate.BELL_PROJECTOR, list(ts), rate=rate
-    )
-    exact_gaps = [abs(r.bound - 2.0 * np.exp(-2.0 * rate * r.t)) for r in records]
-    excess = [r.distance - (r.bound + 1e-6) for r in records]
-    witness_excess = [r.witness_distance - (r.bound + 1e-6) for r in records]
+    records = lindblad.correlation_decay_report(gen, qstate.BELL_PROJECTOR, list(ts))
+    # gamma = rate * 1 washes out correlations at least as fast as this bound
+    bounds = [2.0 * np.exp(-2.0 * rate * r.t) for r in records]
+    excess = [r.distance - (b + 1e-6) for r, b in zip(records, bounds)]
+    witness_excess = [r.witness_distance - (b + 1e-6) for r, b in zip(records, bounds)]
     return _result(
         "decay-bound",
-        ("max |bound - 2 exp(-2 rate t)|", exact_gaps, 0.0),
         ("max distance - (bound + 1e-6)", excess, 0.0),
         ("max witness distance - (bound + 1e-6)", witness_excess, 0.0),
     )
@@ -369,6 +369,15 @@ def check_spectrum(seed: int = 0) -> CheckResult:
         built = tomography.beam_splitter_map(np.exp(-s))
         for got, want in zip(built, tomography.channel_from_exponent(s)):
             optics_gaps.append(np.max(np.abs(got - want)))
+    # the crystal's exponent s = tau^2 / 2 is the optimal channel with a = tau / 2
+    crystal = covariant.CovariantRates.optimal(lambda tau: 0.5 * tau, 0.0)
+    timing_gaps = []
+    for t in np.linspace(0.0, 1.5e-10, 7):
+        tau = tomography.FREQUENCY_SPREAD * tomography.INDEX_DIFFERENCE * t
+        ch = covariant.channel_at(crystal, tau)
+        optical = tomography.channel_from_exponent(tomography.exponent(t))
+        for got, want in zip((ch.matrix, ch.shift_vector), optical):
+            timing_gaps.append(np.max(np.abs(got - want)))
     return _result(
         "spectrum",
         ("max moduli error", errors, 1e-10),
@@ -378,6 +387,7 @@ def check_spectrum(seed: int = 0) -> CheckResult:
         ("s=0.91 moduli error", pin, 1e-6),
         ("product error", product_gap, 1e-12),
         ("linear-optics construction error", optics_gaps, 1e-12),
+        ("Gaussian-dephasing timing error", timing_gaps, 1e-10),
     )
 
 

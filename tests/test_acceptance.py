@@ -3,9 +3,11 @@
 The claims and their tolerances live in one place, the ``verify`` registry
 (:mod:`enmsim.verification`); this module runs each suite at a fixed seed,
 prints its PASS/FAIL line (visible with ``pytest -s``) and asserts it. The two
-asymptotic-limit criteria are also kept as direct checks of the library.
+asymptotic-limit criteria are also kept as direct checks of the library, reduced
+through the same NaN-safe :func:`enmsim.verification._result`.
 """
 
+import numpy as np
 import pytest
 
 from enmsim import correlations, covariant, verification
@@ -45,7 +47,7 @@ def test_discord_oracle_is_seed_deterministic(monkeypatch):
 
 
 def test_criterion_04_mutual_information_limit():
-    worst = max(
+    gaps = [
         abs(
             correlations.mutual_information(
                 covariant.choi_state(covariant.CovariantRates.optimal(1.0, ratio), 30.0)
@@ -53,25 +55,46 @@ def test_criterion_04_mutual_information_limit():
             - correlations.asymptotic_mutual_information(ratio)
         )
         for ratio in (0.0, 0.3, 0.7)
+    ]
+    result = verification._result(
+        "mutual information limit at t = 30/a", ("max |I - limit|", gaps, 1e-4)
     )
-    print(f"mutual information limit at t = 30/a: max error {worst:.2e}, tol 1e-4")
-    assert worst <= 1e-4
+    print(f"{result.name}: {result.detail}")
+    assert result.passed, result.detail
 
 
 def test_criterion_05_discord_limit():
-    worst = worst_oracle = 0.0
+    formula, oracle = [], []
     for ratio in (0.0, 0.5):
         omega = covariant.choi_state(covariant.CovariantRates.optimal(1.0, ratio), 30.0)
         value = correlations.xstate_discord(omega)
-        worst = max(worst, abs(value - correlations.asymptotic_discord(ratio)))
-        worst_oracle = max(
-            worst_oracle, abs(correlations.discord_brute_force(omega) - value)
-        )
+        formula.append(abs(value - correlations.asymptotic_discord(ratio)))
+        oracle.append(abs(correlations.discord_brute_force(omega) - value))
         if ratio == 0.0:
-            worst = max(worst, abs(value - 0.311278))
-    print(
-        f"discord limit at t = 30/a: formula error {worst:.2e}, "
-        f"oracle gap {worst_oracle:.2e}, tol 1e-4"
+            formula.append(abs(value - 0.311278))
+    result = verification._result(
+        "discord limit at t = 30/a",
+        ("formula error", formula, 1e-4),
+        ("oracle gap", oracle, 1e-4),
     )
-    assert worst <= 1e-4
-    assert worst_oracle <= 1e-4
+    print(f"{result.name}: {result.detail}")
+    assert result.passed, result.detail
+
+
+def test_criterion_04_fails_on_nan_mutual_information(monkeypatch):
+    mutual_information = correlations.mutual_information
+    calls = []
+
+    def nan_after_first(rho):
+        calls.append(rho)
+        return mutual_information(rho) if len(calls) == 1 else np.nan
+
+    monkeypatch.setattr(correlations, "mutual_information", nan_after_first)
+    with pytest.raises(AssertionError):
+        test_criterion_04_mutual_information_limit()
+
+
+def test_criterion_05_fails_on_nan_discord(monkeypatch):
+    monkeypatch.setattr(correlations, "xstate_discord", lambda rho: np.nan)
+    with pytest.raises(AssertionError):
+        test_criterion_05_discord_limit()

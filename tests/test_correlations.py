@@ -52,30 +52,11 @@ def test_mutual_information_examples():
     assert limit == pytest.approx(0.5, abs=1e-9)
 
 
-def test_l1_coherence_examples():
-    assert correlations.l1_coherence(np.diag([0.3, 0.7])) == pytest.approx(0.0)
-    plus = qstate.bloch_to_density([1, 0, 0])
-    assert correlations.l1_coherence(plus) == pytest.approx(1.0)
-    rates = covariant.CovariantRates.optimal(1.0, 0.0)
-    out = qstate.bloch_to_density(covariant.channel_at(rates, 1.0).apply([1, 0, 0]))
-    value = correlations.l1_coherence(out)
-    assert value == pytest.approx(0.5 * (1 + np.exp(-2.0)), abs=1e-12)
-    assert value == pytest.approx(0.567668, abs=1e-6)
-
-
-def test_l1_coherence_equals_transverse_radius():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        r = rng.uniform(-1, 1, 3)
-        if r @ r > 1:
-            r /= np.linalg.norm(r)
-        rho = qstate.bloch_to_density(r)
-        assert correlations.l1_coherence(rho) == pytest.approx(
-            np.hypot(r[0], r[1]), abs=1e-12
-        )
-
-
 def test_coherence_law_closed_form():
+    # C(t) of the |+> probe is alpha(t); for x = 0 it is (1 + e^(-2t)) / 2
+    alpha = covariant.channel_at(covariant.CovariantRates.optimal(1.0, 0.0), 1.0).alpha
+    assert alpha == pytest.approx(0.5 * (1 + np.exp(-2.0)), abs=1e-12)
+    assert alpha == pytest.approx(0.567668, abs=1e-6)
     rates = covariant.CovariantRates.optimal(1.0, 0.5)
     for t in (0.2, 1.0, 3.0):
         u = np.exp(-2.0 * t)
@@ -203,7 +184,7 @@ def test_local_noise_monotonicity():
     for _ in range(50):
         rho = random_density(rng, 4)
         matrix, shift = random_covariant_channel(rng)
-        out = lindblad.apply_to_subsystem(rho, matrix, shift, "A")
+        out = lindblad.apply_to_first_qubit(rho, matrix, shift)
         e1, i1 = correlations.negativity(out), correlations.mutual_information(out)
         assert e1 <= correlations.negativity(rho) + 1e-9
         assert i1 <= correlations.mutual_information(rho) + 1e-9

@@ -351,30 +351,6 @@ def test_unphysical_asymmetry_leaves_ball():
     assert failed
 
 
-def test_asymptotic_image():
-    radius, center = covariant.asymptotic_image(covariant.CovariantRates.optimal(1.0, 0.0))
-    assert radius == pytest.approx(0.5)
-    assert center == pytest.approx(0.0)
-
-    radius, center = covariant.asymptotic_image(covariant.CovariantRates.optimal(1.0, 1.0))
-    assert radius == pytest.approx(0.0)
-    assert abs(center) == pytest.approx(1.0)
-
-    rates = covariant.CovariantRates.optimal(1.0, 0.6)
-    radius, center = covariant.asymptotic_image(rates)
-    assert radius == pytest.approx(0.4)
-    assert center == pytest.approx(-0.6)
-    # cross-check by propagating random Bloch vectors far in time
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        r = rng.uniform(-1, 1, 3)
-        if r @ r > 1:
-            r /= np.linalg.norm(r)
-        image = covariant.channel_at(rates, 30.0).apply(r)
-        assert abs(image[2] - center) < 1e-6
-        assert np.hypot(image[0], image[1]) <= radius + 1e-6
-
-
 def test_asymptotic_values_are_converged():
     # values at t = 30/a and t = 40/a agree to 1e-8
     rates = covariant.CovariantRates.optimal(1.0, 0.5)

@@ -6,37 +6,30 @@ from enmsim import covariant, lindblad, qstate
 from enmsim.errors import NonHermitianGamma, SingularIntermediateMap
 from enmsim.verification import random_bloch, random_density
 
-PLUS = qstate.bloch_to_density([1.0, 0.0, 0.0])
+PLUS = [1.0, 0.0, 0.0]
+
+
+def velocity(gamma, r):
+    """Bloch velocity dr/dt = drift @ r + xi of one gamma."""
+    drift, xi = lindblad.bloch_generator(gamma)
+    return drift @ np.asarray(r) + xi
 
 
 def test_generator_zero_gamma():
-    out = lindblad.apply_generator(np.zeros((3, 3)), PLUS)
-    np.testing.assert_allclose(out, 0, atol=1e-15)
-
-
-def test_generator_traceless_hermitian():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        gamma = h + h.conj().T
-        out = lindblad.apply_generator(gamma, random_density(rng, 2))
-        assert abs(np.trace(out)) < 1e-12
-        assert np.max(np.abs(out - out.conj().T)) < 1e-12
+    np.testing.assert_allclose(velocity(np.zeros((3, 3)), PLUS), 0, atol=1e-15)
 
 
 def test_generator_pure_dephasing():
     # dephasing pulls the transverse components at rate a + f = 1
-    out = lindblad.apply_generator(np.diag([0.0, 0.0, 1.0]), PLUS)
-    np.testing.assert_allclose(out, -0.5 * qstate.SIGMA_X, atol=1e-14)
+    out = velocity(np.diag([0.0, 0.0, 1.0]), PLUS)
+    np.testing.assert_allclose(out, [-1.0, 0.0, 0.0], atol=1e-14)
 
 
 def test_generator_isotropic_velocity():
     rng = np.random.default_rng(1)
     r = random_bloch(rng)
     c = 0.7
-    out = lindblad.apply_generator(c * np.eye(3), qstate.bloch_to_density(r))
-    velocity = np.array([np.trace(s @ out).real for s in qstate.PAULI[1:]])
-    np.testing.assert_allclose(velocity, -2.0 * c * r, atol=1e-12)
+    np.testing.assert_allclose(velocity(c * np.eye(3), r), -2.0 * c * r, atol=1e-12)
 
 
 def test_generator_covariant_longitudinal_sign():
@@ -44,17 +37,14 @@ def test_generator_covariant_longitudinal_sign():
     a, x = 1.0, 0.5
     rates = covariant.CovariantRates.from_callables(a, x, 0.0)
     r = np.array([0.3, -0.2, 0.4])
-    out = lindblad.apply_generator(
-        covariant.gamma_matrix(rates, 0.0), qstate.bloch_to_density(r)
-    )
-    rdot = np.array([np.trace(s @ out).real for s in qstate.PAULI[1:]])
+    rdot = velocity(covariant.gamma_matrix(rates, 0.0), r)
     expected = np.array([-(a + 0) * r[0], -(a + 0) * r[1], -2 * a * r[2] - 2 * x])
     np.testing.assert_allclose(rdot, expected, atol=1e-12)
 
 
 def test_generator_rejects_non_hermitian():
     with pytest.raises(NonHermitianGamma):
-        lindblad.apply_generator(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]), PLUS)
+        lindblad.bloch_generator(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]))
 
 
 def test_propagate_zero_gamma_is_identity():
@@ -204,7 +194,7 @@ def test_apply_to_subsystem_is_kron_action():
     rho = random_density(rng, 4)
     matrix = np.diag([0.5, 0.5, 0.3])
     shift = np.array([0.0, 0.0, -0.2])
-    out = lindblad.apply_to_subsystem(rho, matrix, shift, "A")
+    out = lindblad.apply_to_first_qubit(rho, matrix, shift)
     # oracle: apply the channel via its Choi/Kraus-free definition on paulis
     tensor = qstate.pauli_tensor(rho)
     expected = tensor.copy()
@@ -303,8 +293,8 @@ def test_trace_distance_contraction_under_divisible_dynamics():
         dists = []
         for t in grid:
             m, v = pm.at(t)
-            a = lindblad.apply_to_subsystem(np.kron(rho, np.eye(2) / 2), m, v, "A")
-            b = lindblad.apply_to_subsystem(np.kron(sigma, np.eye(2) / 2), m, v, "A")
+            a = lindblad.apply_to_first_qubit(np.kron(rho, np.eye(2) / 2), m, v)
+            b = lindblad.apply_to_first_qubit(np.kron(sigma, np.eye(2) / 2), m, v)
             dists.append(qstate.trace_norm(a - b))
         assert all(np.diff(dists) <= 1e-7)
 
@@ -327,13 +317,12 @@ def test_closest_product_state_product_input():
 def test_correlation_decay_report_bell():
     gen = lindblad.DecoherenceMatrix.constant(0.5 * np.eye(3))
     records = lindblad.correlation_decay_report(
-        gen, qstate.BELL_PROJECTOR, [0.5, 1.0, 2.0, 4.0], rate=0.5
+        gen, qstate.BELL_PROJECTOR, [0.5, 1.0, 2.0, 4.0]
     )
     for rec in records:
-        assert rec.bound == pytest.approx(2.0 * np.exp(-rec.t))
-        assert rec.satisfied
-        assert rec.distance <= rec.bound + 1e-6
-        assert rec.witness_distance <= rec.bound + 1e-6
+        bound = 2.0 * np.exp(-rec.t)
+        assert rec.distance <= bound + 1e-6
+        assert rec.witness_distance <= bound + 1e-6
         # the replacer product state for unital isotropic noise is I/2 x I/2
         assert rec.witness_distance == pytest.approx(
             1.5 * np.exp(-2.0 * 0.5 * rec.t), abs=1e-8
@@ -344,16 +333,12 @@ def test_correlation_decay_report_product_input():
     gen = lindblad.DecoherenceMatrix.constant(0.5 * np.eye(3))
     rng = np.random.default_rng(8)
     rho = np.kron(random_density(rng, 2), random_density(rng, 2))
-    records = lindblad.correlation_decay_report(gen, rho, [0.3, 1.0], rate=0.5)
+    records = lindblad.correlation_decay_report(gen, rho, [0.3, 1.0])
     assert all(rec.distance <= 1e-6 for rec in records)
 
 
 def test_correlation_decay_report_deep_decay():
     # at rate * t = 10 everything is within 1e-6 of a product state
     gen = lindblad.DecoherenceMatrix.constant(0.5 * np.eye(3))
-    (rec,) = lindblad.correlation_decay_report(
-        gen, qstate.BELL_PROJECTOR, [20.0], rate=0.5
-    )
-    assert rec.bound == pytest.approx(2.0 * np.exp(-20.0))
+    (rec,) = lindblad.correlation_decay_report(gen, qstate.BELL_PROJECTOR, [20.0])
     assert rec.distance <= 1e-6
-    assert rec.satisfied

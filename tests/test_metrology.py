@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from enmsim import covariant, lindblad, metrology
-from enmsim.errors import BlochOutOfBall, SingularPureState, ZeroInformation
+from enmsim.errors import SingularPureState, ZeroInformation
 
 OPT = covariant.CovariantRates.optimal(1.0, 0.0)
 
@@ -33,9 +33,8 @@ def test_fisher_bloch_singular_pure():
 
 
 def test_fisher_information_examples():
-    setup = metrology.PhaseEstimationSetup(omega=1.0, rates=OPT)
-    assert metrology.fisher_information(setup, 0.0) == 0.0
-    value = metrology.fisher_information(setup, 1.0)
+    assert metrology.fisher_information(OPT, 0.0) == 0.0
+    value = metrology.fisher_information(OPT, 1.0)
     coherence = 0.5 * (1 + np.exp(-2.0))
     assert value == pytest.approx(coherence**2, abs=1e-12)
     assert value == pytest.approx(0.322247, abs=1e-6)
@@ -44,9 +43,8 @@ def test_fisher_information_examples():
 
 
 def test_fisher_information_growth_without_bound():
-    setup = metrology.PhaseEstimationSetup(omega=1.0, rates=OPT)
     t = 30.0
-    assert metrology.fisher_information(setup, t) / t**2 == pytest.approx(
+    assert metrology.fisher_information(OPT, t) / t**2 == pytest.approx(
         0.25, abs=1e-6
     )
 
@@ -71,40 +69,11 @@ def test_fisher_matches_finite_difference_of_ode(x, times, omegas):
                 pm = lindblad.propagate(gen, grid=[t], r0=r0)
                 branches.append(pm.bloch[-1])
             dr = (branches[0] - branches[1]) / (2 * h)
-            setup = metrology.PhaseEstimationSetup(omega=omega, rates=rates)
-            r = metrology.bloch_with_phase(setup, t)
+            r = metrology.bloch_with_phase(rates, omega, t)
             fd = metrology.fisher_information_bloch(r, dr)
-            analytic = metrology.fisher_information(setup, t)
+            analytic = metrology.fisher_information(rates, t)
             assert abs(fd - analytic) <= 1e-4 * analytic
             assert abs(r @ dr) < 1e-9
-
-
-def test_fisher_independent_of_omega():
-    rates = covariant.CovariantRates.optimal(1.0, 0.3)
-    values = [
-        metrology.fisher_information(
-            metrology.PhaseEstimationSetup(omega=w, rates=rates), 1.2
-        )
-        for w in (0.1, 1.0, 10.0)
-    ]
-    assert max(values) - min(values) < 1e-9
-
-
-def test_analytic_derivative_matches_closed_form():
-    setup = metrology.PhaseEstimationSetup(omega=0.7, rates=OPT)
-    h = 1e-7
-    for t in (0.4, 2.0):
-        plus = metrology.bloch_with_phase(
-            metrology.PhaseEstimationSetup(omega=0.7 + h, rates=OPT), t
-        )
-        minus = metrology.bloch_with_phase(
-            metrology.PhaseEstimationSetup(omega=0.7 - h, rates=OPT), t
-        )
-        np.testing.assert_allclose(
-            metrology.bloch_phase_derivative(setup, t),
-            (plus - minus) / (2 * h),
-            atol=1e-6,
-        )
 
 
 def test_optimal_rate_maximizes_fisher():
@@ -117,14 +86,9 @@ def test_optimal_rate_maximizes_fisher():
         covariant.CovariantRates.from_callables(a, x, lambda t: 0.5 * opt_rate(t)),
     ]
     for t in (0.3, 1.0, 2.5):
-        best = metrology.fisher_information(
-            metrology.PhaseEstimationSetup(omega=1.0, rates=opt), t
-        )
+        best = metrology.fisher_information(opt, t)
         for rival in rivals:
-            value = metrology.fisher_information(
-                metrology.PhaseEstimationSetup(omega=1.0, rates=rival), t
-            )
-            assert value <= best + 1e-9
+            assert metrology.fisher_information(rival, t) <= best + 1e-9
 
 
 def test_cramer_rao_examples():
@@ -132,16 +96,3 @@ def test_cramer_rao_examples():
     assert metrology.cramer_rao_bound(1e12) == pytest.approx(1e-12)
     with pytest.raises(ZeroInformation):
         metrology.cramer_rao_bound(0.0)
-
-
-def test_custom_initial_state():
-    setup = metrology.PhaseEstimationSetup(
-        omega=1.0, rates=OPT, initial=(0.5, 0.0, 0.2)
-    )
-    t = 1.0
-    c_t = 0.5 * covariant.channel_at(OPT, t).alpha
-    assert metrology.fisher_information(setup, t) == pytest.approx(
-        t**2 * c_t**2, abs=1e-12
-    )
-    with pytest.raises(BlochOutOfBall):
-        metrology.PhaseEstimationSetup(omega=1.0, rates=OPT, initial=(1.1, 0.0, 0.0))

@@ -7,9 +7,10 @@ from enmsim.verification import random_bloch, random_density
 
 
 def test_pauli_basis_orthonormal():
+    g = qstate.PAULI / np.sqrt(2.0)
     for i in range(4):
         for j in range(4):
-            overlap = np.trace(qstate.PAULI_G[i] @ qstate.PAULI_G[j]).real
+            overlap = np.trace(g[i] @ g[j]).real
             assert overlap == pytest.approx(1.0 if i == j else 0.0, abs=1e-15)
 
 
@@ -92,24 +93,24 @@ def test_partial_transpose_examples():
     rng = np.random.default_rng(6)
     rho_a, rho_b = random_density(rng, 2), random_density(rng, 2)
     np.testing.assert_allclose(
-        qstate.partial_transpose(np.kron(rho_a, rho_b), "B"),
+        qstate.partial_transpose(np.kron(rho_a, rho_b)),
         np.kron(rho_a, rho_b.T),
         atol=1e-14,
     )
-    eig = np.linalg.eigvalsh(qstate.partial_transpose(qstate.BELL_PROJECTOR, "B"))
+    eig = np.linalg.eigvalsh(qstate.partial_transpose(qstate.BELL_PROJECTOR))
     assert eig.min() == pytest.approx(-0.5, abs=1e-12)
     # separable diagonal mixture stays PSD
     sep = np.diag([0.4, 0.1, 0.2, 0.3]).astype(complex)
-    assert np.linalg.eigvalsh(qstate.partial_transpose(sep, "B")).min() >= -1e-12
+    assert np.linalg.eigvalsh(qstate.partial_transpose(sep)).min() >= -1e-12
 
 
 def test_partial_transpose_involutive_and_consistent():
     rng = np.random.default_rng(7)
     for _ in range(20):
         rho = random_density(rng, 4)
-        pt = qstate.partial_transpose(rho, "B")
+        pt = qstate.partial_transpose(rho)
         np.testing.assert_allclose(
-            qstate.partial_transpose(pt, "B"), rho, atol=1e-14
+            qstate.partial_transpose(pt), rho, atol=1e-14
         )
         assert abs(np.trace(pt) - 1) < 1e-12
         assert np.max(np.abs(pt - pt.conj().T)) < 1e-12

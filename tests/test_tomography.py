@@ -39,12 +39,10 @@ def test_f_matrix_from_operator_overlaps():
             + out_r[2] * qstate.SIGMA_Z
         )
 
+    basis = qstate.PAULI / np.sqrt(2.0)  # G_i = sigma_i / sqrt(2)
     expected = np.array(
         [
-            [
-                np.trace(qstate.PAULI_G[i] @ channel(qstate.PAULI_G[j])).real
-                for j in range(4)
-            ]
+            [np.trace(basis[i] @ channel(basis[j])).real for j in range(4)]
             for i in range(4)
         ]
     )
@@ -61,51 +59,8 @@ def test_f_matrix_eigenvalue_bound_for_cptp():
         assert np.all(moduli <= 1 + 1e-9)
 
 
-def test_basis_decomposition():
-    for index, pure in ((1, [1, 0, 0]), (2, [0, 1, 0]), (3, [0, 0, 1])):
-        rho1, rho2, c = tomography.basis_decomposition(index)
-        assert c == pytest.approx(np.sqrt(2.0))
-        np.testing.assert_allclose(rho1, qstate.bloch_to_density(pure))
-        np.testing.assert_allclose(
-            (rho1 - rho2) / c, qstate.PAULI_G[index], atol=1e-12
-        )
-
-
-def test_basis_decomposition_rebuilds_f_column():
-    rng = np.random.default_rng(3)
-    matrix, shift = random_covariant_channel(rng)
-    f = tomography.f_matrix(matrix, shift).matrix
-
-    def apply_to_state(rho):
-        r = qstate.density_to_bloch(rho)
-        return qstate.bloch_to_density(matrix @ r + shift)
-
-    for j in (1, 2, 3):
-        rho1, rho2, c = tomography.basis_decomposition(j)
-        diff = (apply_to_state(rho1) - apply_to_state(rho2)) / c
-        column = np.array(
-            [np.trace(qstate.PAULI_G[i] @ diff).real for i in range(4)]
-        )
-        np.testing.assert_allclose(column, f[:, j], atol=1e-12)
-
-
-def test_decoherence_factor():
-    assert tomography.decoherence_factor(0.0) == pytest.approx(1.0)
-    t91 = tomography.time_for_exponent(0.91)
-    kappa = tomography.decoherence_factor(t91)
-    assert abs(kappa) == pytest.approx(np.exp(-0.91), abs=1e-12)
-    assert abs(kappa) == pytest.approx(0.402524, abs=1e-6)
-    assert np.angle(kappa) == pytest.approx(
-        np.angle(
-            np.exp(-1j * tomography.INDEX_DIFFERENCE * tomography.CENTRAL_FREQUENCY * t91)
-        )
-    )
-    # long-time limit
-    assert abs(tomography.decoherence_factor(1e-9)) < 1e-12
-
-
 def test_optical_channel_examples():
-    matrix, shift = tomography.optical_channel(0.0)
+    matrix, shift = tomography.channel_from_exponent(0.0)
     np.testing.assert_allclose(matrix, np.eye(3), atol=1e-12)
     np.testing.assert_allclose(shift, 0.0)
 
