@@ -27,7 +27,6 @@ import numpy as np
 from . import (
     correlations,
     covariant,
-    lindblad,
     metrology,
     qstate,
     tomography,
@@ -182,26 +181,28 @@ def time_grid(cfg: argparse.Namespace) -> np.ndarray:
     return np.linspace(cfg.t_min, cfg.t_max, cfg.points)
 
 
-def _channels(cfg: argparse.Namespace) -> list[tuple[float, covariant.CovariantChannelAt]]:
-    """(t, channel) at every grid time, once the channel is CPTP at all of them.
+def _channels(cfg: argparse.Namespace):
+    """(times, alpha, beta, shift) over the grid, once the channel is CPTP at all of it.
 
-    Every rate command builds its rows from these snapshots, so the channel
-    it prints is the one that was checked, and a non-CPTP channel ends with
-    exit 2 and no table.  Overflow and invalid arithmetic stay silent: the
-    inf or NaN they leave fails the check.
+    Every rate command builds its rows from these arrays, so the channel it
+    prints is the one that was checked, and a non-CPTP channel ends with
+    exit 2 and no table.  The whole grid is evaluated before the check, so
+    a rate that cannot be integrated at some time exits 1 even where the
+    channel breaks CPTP earlier.  Overflow and invalid arithmetic stay
+    silent: the inf or NaN they leave fails the check.
     """
-    rates, pairs = rates_from_config(cfg), []
+    rates, times = rates_from_config(cfg), time_grid(cfg)
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in time_grid(cfg):
-            ch = covariant.channel_at(rates, float(t))
-            cond_a, cond_b, _ = covariant.cptp_conditions(ch)
-            if not (cond_a and cond_b):
-                broken = "4 alpha^2 + c^2 <= (1 + beta)^2" if cond_a else "e^-2A + |lz| <= 1"
-                raise InfeasibleRates(
-                    f"channel is not completely positive at t={t:.12g}: {broken} fails"
-                )
-            pairs.append((float(t), ch))
-    return pairs
+        alpha, beta, shift = covariant.channel_grid(rates, times)
+        cond_a, cond_b, _ = covariant.cptp_conditions(alpha, beta, shift)
+    broken = ~(cond_a & cond_b)
+    if broken.any():
+        k = int(np.argmax(broken))
+        which = "4 alpha^2 + c^2 <= (1 + beta)^2" if cond_a[k] else "e^-2A + |lz| <= 1"
+        raise InfeasibleRates(
+            f"channel is not completely positive at t={times[k]:.12g}: {which} fails"
+        )
+    return times, alpha, beta, shift
 
 
 def _format_number(x: float) -> str:
@@ -232,54 +233,51 @@ def emit(cfg: argparse.Namespace, headers, rows, sink) -> None:
 
 
 def cmd_trajectory(cfg: argparse.Namespace, sink) -> int:
-    r0 = np.asarray(cfg.r0, dtype=float)
-    rows = [(t, *ch.apply(r0)) for t, ch in _channels(cfg)]
+    times, alpha, beta, shift = _channels(cfg)
+    rows = zip(times, alpha * cfg.r0[0], alpha * cfg.r0[1], beta * cfg.r0[2] - shift)
     emit(cfg, ("t", "r1", "r2", "r3"), rows, sink)
     return EXIT_OK
 
 
 def cmd_choi(cfg: argparse.Namespace, sink) -> int:
-    rows = []
-    for t, ch in _channels(cfg):
-        omega = lindblad.choi_of_map(ch.matrix, ch.shift_vector)
-        floor = float(np.linalg.eigvalsh(omega).min())
-        rows.append((t, ch.alpha, ch.beta, ch.shift, floor))
+    times, alpha, beta, shift = _channels(cfg)
+    floors = np.linalg.eigvalsh(covariant.choi_states(alpha, beta, shift)).min(axis=-1)
+    rows = zip(times, alpha, beta, shift, floors)
     emit(cfg, ("t", "alpha", "beta", "c", "min_eigenvalue"), rows, sink)
     return EXIT_OK
 
 
 def cmd_correlations(cfg: argparse.Namespace, sink) -> int:
     rows = [  # the fields of a CorrelationPoint are the columns
-        tuple(vars(correlations.correlation_point(t, ch)).values())
-        for t, ch in _channels(cfg)
+        tuple(vars(point).values())
+        for point in correlations.correlation_points(*_channels(cfg))
     ]
     emit(cfg, ("t", "E", "I", "Q", "D", "C"), rows, sink)
     return EXIT_OK
 
 
 def cmd_coherence(cfg: argparse.Namespace, sink) -> int:
-    rows = [(t, ch.alpha) for t, ch in _channels(cfg)]
-    emit(cfg, ("t", "C"), rows, sink)
+    times, alpha, _, _ = _channels(cfg)
+    emit(cfg, ("t", "C"), zip(times, alpha), sink)
     return EXIT_OK
 
 
 def cmd_qfi(cfg: argparse.Namespace, sink) -> int:
-    rows = []
-    for t, ch in _channels(cfg):  # the |+> probe has C(t) = alpha(t)
-        fisher = metrology.fisher_from_coherence(t, ch.alpha)
-        if not math.isfinite(fisher):
-            raise ConfigError(f"Fisher information t^2 C^2 overflows at t={t:.12g}")
-        bound = metrology.cramer_rao_bound(fisher) if fisher > 1e-300 else np.inf
-        rows.append((t, fisher, bound))
+    times, alpha, _, _ = _channels(cfg)  # the |+> probe has C(t) = alpha(t)
+    fisher = metrology.fisher_from_coherence(times, alpha)
+    overflow = ~np.isfinite(fisher)
+    if overflow.any():
+        t = times[np.argmax(overflow)]
+        raise ConfigError(f"Fisher information t^2 C^2 overflows at t={t:.12g}")
+    rows = zip(times, fisher, metrology.cramer_rao_bound(fisher))
     emit(cfg, ("t", "qfi", "cramer_rao"), rows, sink)
     return EXIT_OK
 
 
 def cmd_spectrum(cfg: argparse.Namespace, sink) -> int:
-    rows = []
-    for s in np.linspace(0.0, cfg.s_max, cfg.points):
-        moduli = tomography.spectrum_moduli(float(s))
-        rows.append((s, *moduli, float(np.prod(moduli))))
+    s = np.linspace(0.0, cfg.s_max, cfg.points)
+    moduli = tomography.spectrum_moduli(s)
+    rows = zip(s, *moduli.T, moduli.prod(axis=-1))
     emit(
         cfg,
         ("s", "lambda1", "lambda2", "lambda3", "lambda4", "product"),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from . import covariant, lindblad, qstate
+from . import covariant, qstate
 from .errors import NotXState
 
 X_SHAPE_TOL = 1e-10
@@ -319,29 +319,27 @@ class CorrelationPoint:
     coherence: float
 
 
-def correlation_point(t: float, ch: covariant.CovariantChannelAt) -> CorrelationPoint:
-    """Correlation measures of the Choi state of the channel snapshot at t.
+def correlation_points(times, alpha, beta, shift) -> list[CorrelationPoint]:
+    """Correlation measures of the Choi states of the channels along a grid.
 
     Negativity, mutual information, discord and geometric discord are
-    evaluated numerically on the closed-form Choi state; the coherence is
+    evaluated numerically on the closed-form Choi states; the coherence is
     the transverse contraction alpha(t), the l1-coherence of the channel's
     image of a state with unit initial coherence.
     """
-    omega = lindblad.choi_of_map(ch.matrix, ch.shift_vector)
-    return CorrelationPoint(
-        t=t,
-        negativity=negativity(omega),
-        mutual_information=mutual_information(omega),
-        discord=xstate_discord(omega),
-        geometric_discord=geometric_discord(omega),
-        coherence=ch.alpha,
-    )
+    return [
+        CorrelationPoint(
+            t=float(t),
+            negativity=negativity(omega),
+            mutual_information=mutual_information(omega),
+            discord=xstate_discord(omega),
+            geometric_discord=geometric_discord(omega),
+            coherence=float(c),
+        )
+        for t, c, omega in zip(times, alpha, covariant.choi_states(alpha, beta, shift))
+    ]
 
 
 def correlation_table(rates: covariant.CovariantRates, times) -> list[CorrelationPoint]:
-    """:func:`correlation_point` along a time grid, one channel per time."""
-    return [
-        correlation_point(float(t), covariant.channel_at(rates, float(t)))
-        for t in np.asarray(times, dtype=float)
-    ]
-
+    """:func:`correlation_points` of the channel over a time grid."""
+    return correlation_points(times, *covariant.channel_grid(rates, times))

@@ -144,15 +144,6 @@ def decoherence_matrix(
     )
 
 
-@dataclass(frozen=True)
-class RateIntegrals:
-    """Integrated rates at one time: int a, int f and the longitudinal shift."""
-
-    int_a: float
-    int_f: float
-    lz: float
-
-
 def _quad(fn, lo, hi):
     # full_output returns QUADPACK's warning as a fourth item instead of printing it
     val, err, _, *problem = quad(
@@ -203,19 +194,19 @@ def _lz(rates: CovariantRates, t: float) -> float:
     return float(segments[k][2](t)[0])
 
 
-def _optimal_integral(rates: CovariantRates, big_a: float, lz: float) -> float:
+def _optimal_integral(rates: CovariantRates, big_a, lz):
     u = np.exp(-2.0 * big_a)
     if rates.is_constant_ax and rates.a_const > 0.0:
         q = rates.x_const / rates.a_const
         if abs(q) > 1.0 + 1e-12:
             raise InfeasibleRates("optimal dephasing requires |x| <= a")
         if abs(abs(q) - 1.0) < 1e-15:
-            return 0.0
+            return np.zeros(np.shape(big_a))
         # expanded form with only positive terms: stable for u -> 0, |q| -> 1
         arg = ((1.0 - q * q) * (1.0 + u * u) + 2.0 * u * (1.0 + q * q)) / 4.0
     else:
         arg = ((1.0 + u) ** 2 - lz**2) / 4.0
-    if arg <= 0.0:
+    if (arg <= 0.0).any():
         raise InfeasibleRates("(1 + e^{-2A})^2 <= lz^2: no admissible dephasing")
     return -0.5 * (2.0 * big_a + np.log(arg))
 
@@ -265,8 +256,9 @@ def optimal_dephasing_rate(rates: CovariantRates, t: float) -> float:
     return -a + (2.0 * a * u * (1.0 + u) - 2.0 * a * lz**2 - 2.0 * x * lz) / denom
 
 
-def rate_integrals(rates: CovariantRates, t: float) -> RateIntegrals:
-    """A(t) = int a, F(t) = int f and lz(t), each evaluated once."""
+def _coefficients(rates: CovariantRates, t):
+    """(alpha, beta, shift) at time t; elementwise on an array t when every
+    integral has a closed form (constant a and x, constant or optimal f)."""
     big_a = _int_a(rates, t)
     lz = _lz(rates, t)
     if rates.f_is_optimal:
@@ -275,7 +267,7 @@ def rate_integrals(rates: CovariantRates, t: float) -> RateIntegrals:
         int_f = rates.f_const * t
     else:
         int_f = _quad(rates.f, 0.0, t)
-    return RateIntegrals(int_a=big_a, int_f=int_f, lz=lz)
+    return np.exp(-big_a - int_f), np.exp(-2.0 * big_a), -lz
 
 
 @dataclass(frozen=True)
@@ -298,43 +290,45 @@ class CovariantChannelAt:
     def shift_vector(self) -> np.ndarray:
         return np.array([0.0, 0.0, -self.shift])
 
-    def apply(self, r0) -> np.ndarray:
-        """Image (alpha r1, alpha r2, beta r3 - shift) of a Bloch vector."""
-        return np.array(
-            [self.alpha * r0[0], self.alpha * r0[1], self.beta * r0[2] - self.shift]
-        )
-
 
 def channel_at(rates: CovariantRates, t: float) -> CovariantChannelAt:
     """Contraction coefficients (alpha, beta) and longitudinal shift at t."""
-    ints = rate_integrals(rates, t)
-    return CovariantChannelAt(
-        alpha=float(np.exp(-ints.int_a - ints.int_f)),
-        beta=float(np.exp(-2.0 * ints.int_a)),
-        shift=float(-ints.lz),
-    )
+    alpha, beta, shift = _coefficients(rates, t)
+    return CovariantChannelAt(alpha=float(alpha), beta=float(beta), shift=float(shift))
 
 
-def cptp_conditions(ch: CovariantChannelAt) -> tuple[bool, bool, float]:
-    """Both complete-positivity conditions of a channel snapshot.
+def channel_grid(rates: CovariantRates, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays (alpha, beta, shift) of the channel at every time of a grid.
+
+    Closed forms run once on the whole array; a rate without one (a
+    callable a, x or non-optimal f) is integrated time by time, each
+    value equal to :func:`channel_at` at that time.
+    """
+    times = np.asarray(times, dtype=float)
+    if rates.is_constant_ax and (rates.f_is_optimal or rates.f_const is not None):
+        return _coefficients(rates, times)
+    values = [_coefficients(rates, float(t)) for t in times]
+    return tuple(np.array(values, dtype=float).reshape(-1, 3).T)
+
+
+def cptp_conditions(alpha, beta, shift):
+    """Both complete-positivity conditions, elementwise over coefficient arrays.
 
     Returns (cond_a, cond_b, slack_b) where cond_a is beta + |c| <= 1,
     cond_b is 4 alpha^2 + c^2 <= (1 + beta)^2 and slack_b is the right-hand
     side minus the left-hand side of the latter (zero when the optimal
     dephasing rate saturates it), with c = shift and slack ``CPTP_TOL`` on
-    both.  The products are plain float multiplications, which overflow to
-    inf instead of raising: an inf or NaN coefficient makes the condition
-    it enters fail, so such a channel is never reported CPTP.
+    both.  An inf or NaN coefficient makes the condition it enters fail,
+    so such a channel is never reported CPTP.
     """
-    beta, c = ch.beta, ch.shift
-    slack = (1.0 + beta) * (1.0 + beta) - (4.0 * ch.alpha * ch.alpha + c * c)
-    return bool(beta + abs(c) <= 1.0 + CPTP_TOL), bool(slack >= -CPTP_TOL), slack
+    slack = (1.0 + beta) * (1.0 + beta) - (4.0 * alpha * alpha + shift * shift)
+    return beta + np.abs(shift) <= 1.0 + CPTP_TOL, slack >= -CPTP_TOL, slack
 
 
-def choi_state(rates: CovariantRates, t: float) -> np.ndarray:
-    """Choi matrix of the covariant channel at time t.
+def choi_states(alpha, beta, shift) -> np.ndarray:
+    """Choi matrices of covariant channels, stacked along the coefficients' shape.
 
-    With alpha, beta, c = shift this is
+    With alpha, beta, c = shift each is
 
         (1/4) [[1+b, 0,   0,   2a ],
                [0,   1-b, 0,   0  ],
@@ -343,6 +337,15 @@ def choi_state(rates: CovariantRates, t: float) -> np.ndarray:
 
     which is positive semidefinite exactly when the CPTP conditions hold.
     """
-    ch = channel_at(rates, t)
-    return lindblad.choi_of_map(ch.matrix, ch.shift_vector)
+    shape = np.shape(alpha)
+    matrix = np.zeros(shape + (3, 3))
+    matrix[..., 0, 0] = matrix[..., 1, 1] = alpha
+    matrix[..., 2, 2] = beta
+    shift_vector = np.zeros(shape + (3,))
+    shift_vector[..., 2] = -np.asarray(shift)
+    return lindblad.choi_of_map(matrix, shift_vector)
 
+
+def choi_state(rates: CovariantRates, t: float) -> np.ndarray:
+    """Choi matrix of the covariant channel at time t."""
+    return choi_states(*_coefficients(rates, t))

@@ -45,9 +45,5 @@ class SingularPureState(EnmError):
     """Fisher information formula singular: |r| = 1 with non-tangent derivative."""
 
 
-class ZeroInformation(EnmError):
-    """Cramer-Rao bound undefined for vanishing Fisher information."""
-
-
 class ConfigError(EnmError):
     """Invalid command-line configuration."""

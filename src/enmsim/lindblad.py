@@ -76,11 +76,10 @@ def bloch_generator(gamma) -> tuple[np.ndarray, np.ndarray]:
     """Drift matrix and inhomogeneity of the Bloch equation for one gamma.
 
     Returns (A, xi) with A = gamma_S - tr(gamma) 1 and
-    xi_k = i sum_ij eps_ijk gamma_ji, so that dr/dt = A r + xi.
+    xi_k = i sum_ij eps_ijk gamma_ji, so that dr/dt = A r + xi.  gamma is
+    taken to be Hermitian: :meth:`DecoherenceMatrix.at` checks it.
     """
     gamma = np.asarray(gamma, dtype=complex)
-    if np.max(np.abs(gamma - gamma.conj().T)) > HERMITICITY_TOL:
-        raise NonHermitianGamma("gamma is not Hermitian")
     sym = 0.5 * (gamma + gamma.T)
     drift = sym.real - np.trace(gamma).real * np.eye(3)
     xi = np.array(
@@ -180,16 +179,16 @@ def choi_of_map(matrix, shift=None) -> np.ndarray:
 
     The channel acts on the second qubit of the maximally entangled pair;
     the first qubit is the untouched reference, so the reduced state of the
-    reference is always maximally mixed.
+    reference is always maximally mixed.  Stacks of maps, of shapes
+    (..., 3, 3) and (..., 3), give stacks of Choi matrices.
     """
     m = np.asarray(matrix, dtype=float)
     v = np.zeros(3) if shift is None else np.asarray(shift, dtype=float)
-    tensor = np.zeros((4, 4))
-    tensor[0, 0] = 1.0
-    tensor[0, 1:] = v
-    signs = np.array([1.0, -1.0, 1.0])
-    for k in range(3):
-        tensor[k + 1, 1:] = signs[k] * m[:, k]
+    tensor = np.zeros(m.shape[:-2] + (4, 4))
+    tensor[..., 0, 0] = 1.0
+    tensor[..., 0, 1:] = v
+    signs = np.array([[1.0], [-1.0], [1.0]])  # row k is signs[k] times column k of M
+    tensor[..., 1:, 1:] = signs * np.swapaxes(m, -1, -2)
     return qstate.density_from_pauli_tensor(tensor)
 
 

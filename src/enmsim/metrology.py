@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import covariant
-from .errors import SingularPureState, ZeroInformation
+from .errors import SingularPureState
 
 PURE_TOL = 1e-12
 TANGENT_TOL = 1e-9
@@ -47,14 +47,14 @@ def bloch_with_phase(
     return np.array([ch.alpha * np.cos(angle), ch.alpha * np.sin(angle), -ch.shift])
 
 
-def fisher_from_coherence(t: float, c: float) -> float:
+def fisher_from_coherence(t, c):
     """Fisher information t^2 C^2 of a probe with l1-coherence C at time t.
 
-    Exactly 0 when C = 0, also at times where t^2 overflows.
+    Elementwise over arrays.  Exactly 0 where C = 0, also at times where
+    t^2 overflows.
     """
-    if c == 0.0:
-        return 0.0
-    return float(t * t * c * c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(c == 0.0, 0.0, t * t * c * c)[()]
 
 
 def fisher_information(rates: covariant.CovariantRates, t: float) -> float:
@@ -67,8 +67,11 @@ def fisher_information(rates: covariant.CovariantRates, t: float) -> float:
     return fisher_from_coherence(t, covariant.channel_at(rates, t).alpha)
 
 
-def cramer_rao_bound(fisher: float) -> float:
-    """Lower bound 1 / F on the variance of any unbiased estimator."""
-    if fisher <= 1e-300:
-        raise ZeroInformation("Fisher information is zero")
-    return 1.0 / float(fisher)
+def cramer_rao_bound(fisher):
+    """Lower bound 1 / F on the variance of any unbiased estimator.
+
+    Elementwise over arrays; inf where F <= 1e-300.
+    """
+    fisher = np.asarray(fisher, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(fisher <= 1e-300, np.inf, 1.0 / fisher)[()]

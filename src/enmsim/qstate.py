@@ -109,5 +109,8 @@ def pauli_tensor(rho) -> np.ndarray:
 
 
 def density_from_pauli_tensor(tensor) -> np.ndarray:
-    """Inverse of :func:`pauli_tensor`: rho = (1/4) sum R[mu,nu] sigma_mu x sigma_nu."""
-    return 0.25 * np.einsum("mn,mnij->ij", np.asarray(tensor, dtype=float), PAULI2)
+    """Inverse of :func:`pauli_tensor`: rho = (1/4) sum R[mu,nu] sigma_mu x sigma_nu.
+
+    A stack of tensors of shape (..., 4, 4) gives a stack of matrices.
+    """
+    return 0.25 * np.einsum("...mn,mnij->...ij", np.asarray(tensor, dtype=float), PAULI2)

@@ -120,15 +120,18 @@ def beam_splitter_map(kappa_mag: float) -> tuple[np.ndarray, np.ndarray]:
     return matrix, shift
 
 
-def spectrum_moduli(s: float) -> np.ndarray:
+def spectrum_moduli(s) -> np.ndarray:
     """Moduli of the process-matrix spectrum at decoherence exponent s.
 
-    Equals {1, (1 + e^-s)/2, (1 + e^-s)/2, e^-s}, sorted descending.
+    Equals {1, (1 + e^-s)/2, (1 + e^-s)/2, e^-s}, sorted descending; an
+    array of exponents gives one row of four moduli per exponent.
     """
-    if s < 0:
+    s = np.asarray(s, dtype=float)
+    if (s < 0).any():
         raise ValueError("exponent must be nonnegative")
-    mag = float(np.exp(-s))
-    return np.array([1.0, 0.5 * (1.0 + mag), 0.5 * (1.0 + mag), mag])
+    mag = np.exp(-s)
+    half = 0.5 * (1.0 + mag)
+    return np.stack([np.ones_like(mag), half, half, mag], axis=-1)
 
 
 def choi_of_optical_channel(s: float) -> np.ndarray:

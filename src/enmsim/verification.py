@@ -275,10 +275,8 @@ def check_coherence(seed: int = 0) -> CheckResult:
     pm = lindblad.propagate(
         covariant.decoherence_matrix(rates), grid=grid, r0=np.array([1.0, 0.0, 0.0])
     )
-    gaps = []
-    for idx, t in enumerate(grid):
-        c_ode = np.hypot(pm.bloch[idx][0], pm.bloch[idx][1])
-        gaps.append(abs(c_ode - covariant.channel_at(rates, t).alpha))
+    alpha, _, _ = covariant.channel_grid(rates, grid)
+    gaps = np.abs(np.hypot(pm.bloch[:, 0], pm.bloch[:, 1]) - alpha)
     tail = abs(covariant.channel_at(rates, 30.0).alpha - 0.5 * np.sqrt(1.0 - 0.25))
     return _result(
         "coherence",
@@ -344,15 +342,11 @@ def check_enm(seed: int = 0) -> CheckResult:
 
 def check_spectrum(seed: int = 0) -> CheckResult:
     grid = np.union1d(np.linspace(0.0, 4.0, 100), np.linspace(0.0, 4.0, 81))
-    errors = []
-    moduli = []
-    for s in grid:
-        matrix, shift = tomography.channel_from_exponent(float(s))
-        pmx = tomography.f_matrix(matrix, shift)
-        expected = tomography.spectrum_moduli(float(s))
-        errors.append(np.max(np.abs(pmx.moduli - expected)))
-        moduli.append(expected)
-    moduli = np.array(moduli)
+    moduli = tomography.spectrum_moduli(grid)
+    errors = [
+        np.max(np.abs(tomography.f_matrix(*tomography.channel_from_exponent(s)).moduli - m))
+        for s, m in zip(grid, moduli)
+    ]
     rates = covariant.CovariantRates.optimal(1.0, 0.0)
     s_match = 0.7
     choi_gap = qstate.trace_norm(

@@ -117,6 +117,11 @@ def test_config_errors_exit_one(capsys):
                   # a divergent rate integral and rates quadrature cannot resolve
                   "coherence --f expr:1/(t-1) --points 3 --t-max 3",
                   "coherence --f expr:1/t --points 3",
+                  # the whole grid is evaluated before the CPTP check, so a rate
+                  # that fails at t = 3 wins over a CPTP breach at t = 1.5
+                  "coherence --f expr:-5+1/(t-2.5)^2 --points 3 --t-max 3",
+                  "coherence --f expr:-5+1/((t-2)*(t-2)) --points 3 --t-max 3",
+                  "coherence --f expr:-3*t+exp(1000*(t-2)) --points 3 --t-max 3",
                   # t^2 C^2 overflows where the coherence has not decayed
                   "qfi --a 0 --x 0 --f zero --t-max 1e300 --points 3",
                   # grids too large to allocate
@@ -200,16 +205,21 @@ def test_plain_number_expr_is_the_constant_rate(command, value, capsys):
 @pytest.mark.parametrize("command", ["trajectory", "choi", "correlations", "coherence", "qfi"])
 def test_one_channel_evaluation_per_grid_time(command, monkeypatch):
     calls = []
-    rate_integrals = covariant.rate_integrals
+    channel_grid = covariant.channel_grid
 
-    def counting(rates, t):
-        calls.append(t)
-        return rate_integrals(rates, t)
+    def counting(rates, times):
+        calls.append(np.array(times))
+        return channel_grid(rates, times)
 
-    monkeypatch.setattr(covariant, "rate_integrals", counting)
+    def refuse(rates, t):
+        raise AssertionError("the rate commands evaluate the grid, not single times")
+
+    monkeypatch.setattr(covariant, "channel_grid", counting)
+    monkeypatch.setattr(covariant, "channel_at", refuse)
     code, _ = run_cli([command, "--f", "expr:-0.9*tanh(t)", "--points", "50"])
     assert code == 0
-    assert len(calls) == 50
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], np.linspace(0.0, 3.0, 50))
 
 
 def test_verify_quick_suites_pass():

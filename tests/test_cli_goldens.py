@@ -2,9 +2,11 @@
 
 Each file under ``goldens/`` is the stdout of the invocation named beside it.
 The files were written once from the CLI and must only change together with
-a deliberate, documented change of output.
+a deliberate, documented change of output.  Grids too large to keep as files
+are guarded by the sha256 of their CSV stdout, recorded the same way.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,29 @@ def test_stdout_matches_golden(name, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+_LOG_GRID = "--x 0.4 --t-min 1e-3 --t-max 5 --spacing log"
+
+DIGESTS = {
+    f"trajectory {_LOG_GRID} --points 10000":
+        "75cddcffc8c373cb0328fa67c997a46c769d85d756ad9fa668ebbc0fb3a829d8",
+    f"choi {_LOG_GRID} --points 10000":
+        "777ccc3758fe5f7373a8dcc7d439b5d2e5a74e4a28956683db098484bfa0dab4",
+    f"coherence {_LOG_GRID} --points 10000":
+        "e9b6bff66046ae3da20eb75c36b6e7e01fca37d3a9ecc94969facc58c2cb0a3f",
+    f"qfi {_LOG_GRID} --points 10000":
+        "15446d70c072568c7afa03ea59fb119e80b099e51056082850f876004cb30fda",
+    f"correlations {_LOG_GRID} --points 2000":
+        "8f80b2a04a730cd53dafbaff011388b47494c447802a2a9d55224c8835775b5b",
+    "spectrum --s-max 4 --points 100000":
+        "c78cad878620aa277c532c0ec9159280c0272fc002f372bdb4474afa3c0465bb",
+}
+
+
+@pytest.mark.parametrize("argv", DIGESTS)
+def test_large_grid_stdout_digest(argv, capsys):
+    assert cli.main(argv.split()) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[argv]

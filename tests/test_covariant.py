@@ -1,9 +1,23 @@
+import io
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
-from enmsim import covariant, lindblad
+from enmsim import cli, covariant, lindblad
 from enmsim.errors import InfeasibleRates
+from enmsim.expressions import compile_rate_expression
+
+
+def _int_a(ch):
+    """A = int a, read from beta = e^{-2A}."""
+    return -0.5 * np.log(ch.beta)
+
+
+def _int_f(ch):
+    """F = int f, read from alpha = e^{-A-F}."""
+    return -np.log(ch.alpha) - _int_a(ch)
 
 
 def test_gamma_matrix_eigenvalues():
@@ -16,24 +30,24 @@ def test_gamma_matrix_eigenvalues():
 
 def test_integrals_constant_rate():
     rates = covariant.CovariantRates.from_callables(1.0, 0.0, 0.0)
-    ints = covariant.rate_integrals(rates, 2.5)
-    assert ints.int_a == pytest.approx(2.5, abs=1e-12)
-    assert ints.lz == pytest.approx(0.0, abs=1e-15)
+    ch = covariant.channel_at(rates, 2.5)
+    assert _int_a(ch) == pytest.approx(2.5, abs=1e-12)
+    assert ch.shift == pytest.approx(0.0, abs=1e-15)
 
 
 def test_integrals_longitudinal_shift_sign():
     # lz must match the fixed point of dr3/dt = -2a r3 - 2x
     rates = covariant.CovariantRates.from_callables(1.0, 0.5, 0.0)
     for t in (0.3, 1.0, 4.0):
-        ints = covariant.rate_integrals(rates, t)
-        assert ints.lz == pytest.approx(-0.5 * (1 - np.exp(-2 * t)), abs=1e-12)
+        lz = -covariant.channel_at(rates, t).shift
+        assert lz == pytest.approx(-0.5 * (1 - np.exp(-2 * t)), abs=1e-12)
 
     # independent oracle: integrate r3 from 0
     def rhs(t, r3):
         return -2.0 * r3 - 2.0 * 0.5
 
     sol = solve_ivp(rhs, (0, 4.0), [0.0], rtol=1e-11, atol=1e-13)
-    assert covariant.rate_integrals(rates, 4.0).lz == pytest.approx(
+    assert -covariant.channel_at(rates, 4.0).shift == pytest.approx(
         sol.y[0, -1], abs=1e-9
     )
 
@@ -43,10 +57,10 @@ def test_integrals_general_rates_match_quadrature():
     x = lambda t: 0.3 * np.cos(t)
     rates = covariant.CovariantRates.from_callables(a, x, 0.2)
     t = 2.0
-    ints = covariant.rate_integrals(rates, t)
+    ch = covariant.channel_at(rates, t)
     big_a = quad(a, 0, t, epsabs=1e-13)[0]
-    assert ints.int_a == pytest.approx(big_a, abs=1e-10)
-    assert ints.int_f == pytest.approx(0.4, abs=1e-12)
+    assert _int_a(ch) == pytest.approx(big_a, abs=1e-10)
+    assert _int_f(ch) == pytest.approx(0.4, abs=1e-12)
     # oracle for lz: direct ODE for the shift
     sol = solve_ivp(
         lambda s, r: [-2 * a(s) * r[0] - 2 * x(s)],
@@ -55,65 +69,68 @@ def test_integrals_general_rates_match_quadrature():
         rtol=1e-12,
         atol=1e-14,
     )
-    assert ints.lz == pytest.approx(sol.y[0, -1], abs=1e-9)
+    assert -ch.shift == pytest.approx(sol.y[0, -1], abs=1e-9)
+
+
+def _trajectory(flags):
+    """(t, r1, r2, r3) rows of the ``trajectory`` command, at full precision."""
+    sink = io.StringIO()
+    code = cli.run(cli.parse_config(["trajectory", *flags.split(), "--format", "json"]), sink)
+    assert code == cli.EXIT_OK
+    rows = json.loads(sink.getvalue())
+    return np.array([[row[k] for k in ("t", "r1", "r2", "r3")] for row in rows])
 
 
 def test_evolve_bloch_examples():
-    rates = covariant.CovariantRates.from_callables(1.0, 0.0, 0.0)
-    np.testing.assert_allclose(
-        covariant.channel_at(rates, 0.0).apply([0.3, -0.4, 0.5]),
-        [0.3, -0.4, 0.5],
-        atol=1e-14,
-    )
-    np.testing.assert_allclose(
-        covariant.channel_at(rates, 1.0).apply([1.0, 0.0, 1.0]),
-        [np.exp(-1.0), 0.0, np.exp(-2.0)],
-        atol=1e-12,
-    )
-    pole = covariant.CovariantRates.from_callables(1.0, 1.0, 0.0)
-    np.testing.assert_allclose(
-        covariant.channel_at(pole, 40.0).apply([0.0, 0.0, 0.0]), [0, 0, -1], atol=1e-12
-    )
+    rows = _trajectory("--a 1 --x 0 --f zero --r0 0.3,-0.4,0.5 --t-max 1 --points 2")
+    np.testing.assert_allclose(rows[0, 1:], [0.3, -0.4, 0.5], atol=1e-14)
+    rows = _trajectory("--a 1 --x 0 --f zero --r0 1,0,0 --t-max 1 --points 2")
+    np.testing.assert_allclose(rows[1, 1:], [np.exp(-1.0), 0.0, 0.0], atol=1e-12)
+    rows = _trajectory("--a 1 --x 0 --f zero --r0 0,0,1 --t-max 1 --points 2")
+    np.testing.assert_allclose(rows[1, 1:], [0.0, 0.0, np.exp(-2.0)], atol=1e-12)
+    rows = _trajectory("--a 1 --x 1 --f zero --r0 0,0,0 --t-max 40 --points 2")
+    np.testing.assert_allclose(rows[1, 1:], [0, 0, -1], atol=1e-12)
 
 
 def test_evolve_bloch_matches_ode():
-    for rates in (
-        covariant.CovariantRates.from_callables(1.0, 0.5, 0.0),
-        covariant.CovariantRates.optimal(1.0, 0.5),
+    r0 = np.array([0.6, -0.3, 0.5])
+    for f_mode, rates in (
+        ("zero", covariant.CovariantRates.from_callables(1.0, 0.5, 0.0)),
+        ("optimal", covariant.CovariantRates.optimal(1.0, 0.5)),
     ):
         gen = covariant.decoherence_matrix(rates)
         grid = np.linspace(0.0, 10.0, 21)
-        pm = lindblad.propagate(gen, grid=grid)
-        r0 = np.array([0.6, -0.3, 0.5])
-        for t in grid:
-            m, v = pm.at(t)
-            np.testing.assert_allclose(
-                m @ r0 + v, covariant.channel_at(rates, t).apply(r0), atol=1e-7
-            )
+        pm = lindblad.propagate(gen, grid=grid, r0=r0)
+        rows = _trajectory(
+            f"--a 1 --x 0.5 --f {f_mode} --r0 0.6,-0.3,0.5 --t-max 10 --points 21"
+        )
+        np.testing.assert_array_equal(rows[:, 0], grid)
+        np.testing.assert_allclose(rows[:, 1:], pm.bloch, atol=1e-7)
 
 
 def test_cptp_conditions_free_dephasing():
     rates = covariant.CovariantRates.from_callables(1.0, 0.0, 0.0)
-    for t in (0.5, 1.0, 3.0):
-        cond_a, cond_b, slack = covariant.cptp_conditions(covariant.channel_at(rates, t))
-        assert cond_a and cond_b
-        u = np.exp(-2 * t)
-        assert slack == pytest.approx((1 + u) ** 2 - 4 * u, abs=1e-12)
-        assert slack > 0
+    ts = np.array([0.5, 1.0, 3.0])
+    cond_a, cond_b, slack = covariant.cptp_conditions(*covariant.channel_grid(rates, ts))
+    assert cond_a.all() and cond_b.all()
+    u = np.exp(-2 * ts)
+    np.testing.assert_allclose(slack, (1 + u) ** 2 - 4 * u, rtol=0, atol=1e-12)
+    assert (slack > 0).all()
 
 
 def test_cptp_saturated_by_optimal_rate():
     for x in (0.0, 0.5, 1.0):
         rates = covariant.CovariantRates.optimal(1.0, x)
-        for t in (0.1, 0.7, 2.0, 5.0):
-            _, cond_b, slack = covariant.cptp_conditions(covariant.channel_at(rates, t))
-            assert cond_b
-            assert abs(slack) < 1e-8
+        grid = covariant.channel_grid(rates, [0.1, 0.7, 2.0, 5.0])
+        _, cond_b, slack = covariant.cptp_conditions(*grid)
+        assert cond_b.all()
+        assert (np.abs(slack) < 1e-8).all()
 
 
 def test_cptp_violated_by_overly_negative_dephasing():
     rates = covariant.CovariantRates.from_callables(1.0, 0.0, -2.0)
-    _, cond_b, slack = covariant.cptp_conditions(covariant.channel_at(rates, 1.0))
+    ch = covariant.channel_at(rates, 1.0)
+    _, cond_b, slack = covariant.cptp_conditions(ch.alpha, ch.beta, ch.shift)
     assert not cond_b
     assert slack < 0
 
@@ -132,10 +149,9 @@ def test_optimal_integral_saturates_cp_bound():
     for a, x in ((1.0, 0.0), (1.0, 0.5), (2.0, 1.0)):
         rates = covariant.CovariantRates.optimal(a, x)
         for t in (0.2, 1.0, 3.0):
-            ints = covariant.rate_integrals(rates, t)
-            u = np.exp(-2.0 * ints.int_a)
-            lhs = 4.0 * np.exp(-2.0 * ints.int_a - 2.0 * ints.int_f) + ints.lz**2
-            assert lhs == pytest.approx((1.0 + u) ** 2, abs=1e-10)
+            ch = covariant.channel_at(rates, t)
+            lhs = 4.0 * ch.alpha**2 + ch.shift**2
+            assert lhs == pytest.approx((1.0 + ch.beta) ** 2, abs=1e-10)
 
 
 def test_optimal_rate_examples():
@@ -202,6 +218,33 @@ def _oscillating_optimal_rates():
     return covariant.CovariantRates.optimal(_osc_a, _osc_x)
 
 
+@pytest.mark.parametrize(
+    "make_rates",
+    [
+        lambda: covariant.CovariantRates.from_callables(1.0, 0.4, 0.0),
+        lambda: covariant.CovariantRates.from_callables(0.8, -0.3, 0.35),
+        lambda: covariant.CovariantRates.from_callables(0.0, 0.4, -0.1),
+        lambda: covariant.CovariantRates.optimal(1.0, 0.0),
+        lambda: covariant.CovariantRates.optimal(1.2, -0.5),
+        lambda: covariant.CovariantRates.optimal(1.3, -1.3),
+        lambda: covariant.CovariantRates.from_callables(
+            1.0, 0.2, compile_rate_expression("-0.9*tanh(t)")
+        ),
+        _oscillating_optimal_rates,
+    ],
+    ids=["zero-f", "constant-f", "a-zero", "optimal-x0", "optimal-inside",
+         "optimal-edge", "expr", "time-dependent-optimal"],
+)
+def test_channel_at_is_one_column_of_channel_grid(make_rates):
+    rates = make_rates()
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, 5.0, 12)])
+    alpha, beta, shift = covariant.channel_grid(rates, grid)
+    assert alpha.shape == beta.shape == shift.shape == grid.shape
+    for k, t in enumerate(grid):
+        ch = covariant.channel_at(rates, float(t))
+        assert (ch.alpha, ch.beta, ch.shift) == (alpha[k], beta[k], shift[k])
+
+
 def test_time_dependent_channel_independent_of_query_order():
     fresh = _oscillating_optimal_rates()
     warmed = _oscillating_optimal_rates()
@@ -222,8 +265,8 @@ def test_time_dependent_lz_matches_ode_reference():
         atol=1e-15,
         t_eval=ts,
     )
-    lz = [covariant.rate_integrals(rates, float(t)).lz for t in ts]
-    np.testing.assert_allclose(lz, sol.y[0], rtol=0.0, atol=1e-12)
+    _, _, shift = covariant.channel_grid(rates, ts)
+    np.testing.assert_allclose(-shift, sol.y[0], rtol=0.0, atol=1e-12)
 
 
 def test_time_dependent_optimal_rate_matches_integral_derivative():
@@ -299,7 +342,7 @@ def test_choi_psd_iff_cptp():
     for t in (0.5, 1.5):
         assert np.linalg.eigvalsh(covariant.choi_state(good, t)).min() >= -1e-9
     assert np.linalg.eigvalsh(covariant.choi_state(bad, 1.5)).min() < -1e-4
-    assert not covariant.cptp_conditions(covariant.channel_at(bad, 1.5))[1]
+    assert not covariant.cptp_conditions(*covariant.channel_grid(bad, [1.5]))[1][0]
 
 
 def test_channel_invariants():
@@ -324,9 +367,7 @@ def test_dephasing_splitting_commutes():
     for t in (0.5, 1.5, 3.0):
         ch_other = covariant.channel_at(other, t)
         ch_opt = covariant.channel_at(opt, t)
-        extra = covariant.rate_integrals(other, t).int_f - covariant.rate_integrals(
-            opt, t
-        ).int_f
+        extra = 0.2 * t - covariant.optimal_dephasing_integral(opt, t)
         dephase = np.diag([np.exp(-extra), np.exp(-extra), 1.0])
         np.testing.assert_allclose(
             ch_other.matrix, dephase @ ch_opt.matrix, atol=1e-8
@@ -341,14 +382,10 @@ def test_unphysical_asymmetry_leaves_ball():
     rates = covariant.CovariantRates.from_callables(1.0, 1.5, 0.0)
     margin = 0.5
     horizon = 2.0 / margin
-    failed = False
-    for t in np.linspace(0.05, horizon, 40):
-        cond_a, _, _ = covariant.cptp_conditions(covariant.channel_at(rates, t))
-        eig_min = np.linalg.eigvalsh(covariant.choi_state(rates, t)).min()
-        if not cond_a or eig_min < -1e-9:
-            failed = True
-            break
-    assert failed
+    coeffs = covariant.channel_grid(rates, np.linspace(0.05, horizon, 40))
+    cond_a, _, _ = covariant.cptp_conditions(*coeffs)
+    eig_min = np.linalg.eigvalsh(covariant.choi_states(*coeffs)).min(axis=-1)
+    assert (~cond_a | (eig_min < -1e-9)).any()
 
 
 def test_asymptotic_values_are_converged():

@@ -43,8 +43,9 @@ def test_generator_covariant_longitudinal_sign():
 
 
 def test_generator_rejects_non_hermitian():
+    crooked = lindblad.DecoherenceMatrix.constant([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]])
     with pytest.raises(NonHermitianGamma):
-        lindblad.bloch_generator(np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]]))
+        crooked.at(0.0)
 
 
 def test_propagate_zero_gamma_is_identity():
@@ -116,6 +117,23 @@ def test_choi_of_map_examples():
     np.testing.assert_allclose(
         lindblad.choi_of_map(np.zeros((3, 3))), np.eye(4) / 4, atol=1e-15
     )
+
+
+def test_choi_of_map_stacks_equal_single_maps():
+    rng = np.random.default_rng(11)
+    matrices = rng.uniform(-1.0, 1.0, (2, 5, 3, 3))
+    shifts = rng.uniform(-0.5, 0.5, (2, 5, 3))
+    stacked = lindblad.choi_of_map(matrices, shifts)
+    assert stacked.shape == (2, 5, 4, 4)
+    for idx in np.ndindex(2, 5):
+        np.testing.assert_array_equal(
+            stacked[idx], lindblad.choi_of_map(matrices[idx], shifts[idx])
+        )
+    rates = covariant.CovariantRates.optimal(1.0, 0.3)
+    grid = np.linspace(0.0, 4.0, 9)
+    states = covariant.choi_states(*covariant.channel_grid(rates, grid))
+    for t, omega in zip(grid, states):
+        np.testing.assert_array_equal(omega, covariant.choi_state(rates, float(t)))
 
 
 def test_choi_of_map_operator_basis_oracle():

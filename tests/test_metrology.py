@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from enmsim import covariant, lindblad, metrology
-from enmsim.errors import SingularPureState, ZeroInformation
+from enmsim.errors import SingularPureState
 
 OPT = covariant.CovariantRates.optimal(1.0, 0.0)
 
@@ -94,5 +94,8 @@ def test_optimal_rate_maximizes_fisher():
 def test_cramer_rao_examples():
     assert metrology.cramer_rao_bound(4.0) == pytest.approx(0.25)
     assert metrology.cramer_rao_bound(1e12) == pytest.approx(1e-12)
-    with pytest.raises(ZeroInformation):
-        metrology.cramer_rao_bound(0.0)
+    assert metrology.cramer_rao_bound(0.0) == np.inf
+    t, c = np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.0])
+    fisher = metrology.fisher_from_coherence(t, c)
+    np.testing.assert_array_equal(fisher, [0.0, 0.25, 0.0])
+    np.testing.assert_array_equal(metrology.cramer_rao_bound(fisher), [np.inf, 4.0, np.inf])

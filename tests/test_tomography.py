@@ -117,6 +117,16 @@ def test_spectrum_moduli_values():
     )
 
 
+def test_spectrum_moduli_of_an_array_are_the_scalar_rows():
+    grid = np.linspace(0.0, 8.0, 33)
+    table = tomography.spectrum_moduli(grid)
+    assert table.shape == (33, 4)
+    for s, row in zip(grid, table):
+        np.testing.assert_array_equal(row, tomography.spectrum_moduli(float(s)))
+    with pytest.raises(ValueError):
+        tomography.spectrum_moduli(np.array([0.5, -1e-3]))
+
+
 def test_spectrum_matches_f_matrix():
     for s in np.linspace(0.0, 10.0, 30):
         matrix, shift = tomography.channel_from_exponent(float(s))
