@@ -4,7 +4,8 @@ Includes entanglement negativity, quantum mutual information, quantum
 discord of X states (measurement on the second qubit, with a brute-force
 projective-measurement oracle as fallback and cross check), geometric
 discord, and the closed-form trajectories and limits of all of these under
-the correlation-optimal covariant channel.
+the correlation-optimal covariant channel.  Negativity, mutual information
+and geometric discord also map a (..., 4, 4) stack of states.
 """
 
 from __future__ import annotations
@@ -29,19 +30,17 @@ def binary_entropy(p: float) -> float:
     return -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p))
 
 
-def negativity(rho) -> float:
+def negativity(rho):
     """Entanglement negativity (||rho^T_B||_1 - 1) / 2."""
-    rho = np.asarray(rho, dtype=complex)
     eig = np.linalg.eigvalsh(qstate.partial_transpose(rho))
-    return max(0.0, float((np.abs(eig).sum() - 1.0) / 2.0))
+    return np.maximum((np.abs(eig).sum(axis=-1) - 1.0) / 2.0, 0.0)[()]
 
 
-def mutual_information(rho) -> float:
+def mutual_information(rho):
     """Quantum mutual information S(A) + S(B) - S(AB) in bits."""
-    rho = np.asarray(rho, dtype=complex)
     s_a = qstate.von_neumann_entropy(qstate.partial_trace(rho, "B"))
     s_b = qstate.von_neumann_entropy(qstate.partial_trace(rho, "A"))
-    return max(0.0, s_a + s_b - qstate.von_neumann_entropy(rho))
+    return np.maximum(s_a + s_b - qstate.von_neumann_entropy(rho), 0.0)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +177,9 @@ def _discord_candidates(x: XState) -> tuple[float, DiscordWitness]:
 def _measurement_stats(rho):
     """Local Bloch vectors and correlation matrix of a two-qubit state."""
     tensor = qstate.pauli_tensor(rho)
-    s = tensor[1:, 0]
-    w = tensor[0, 1:]
-    t_mat = tensor[1:, 1:]
+    s = tensor[..., 1:, 0]
+    w = tensor[..., 0, 1:]
+    t_mat = tensor[..., 1:, 1:]
     return s, w, t_mat
 
 
@@ -273,7 +272,7 @@ def xstate_discord(rho) -> float:
     return xstate_discord_details(rho).value
 
 
-def geometric_discord(rho) -> float:
+def geometric_discord(rho):
     """Geometric discord (||x||^2 + ||T||^2 - lambda_max) / 4.
 
     ``x`` is the Bloch vector of the first qubit, T the correlation matrix
@@ -281,9 +280,11 @@ def geometric_discord(rho) -> float:
     eigenvalue of K = x x^T + T T^T.
     """
     s, _, t_mat = _measurement_stats(rho)
-    k_mat = np.outer(s, s) + t_mat @ t_mat.T
-    lam_max = float(np.linalg.eigvalsh(k_mat).max())
-    return max(0.0, 0.25 * float(s @ s + np.sum(t_mat**2) - lam_max))
+    k_mat = s[..., :, None] * s[..., None, :] + t_mat @ np.swapaxes(t_mat, -1, -2)
+    lam_max = np.linalg.eigvalsh(k_mat).max(axis=-1)
+    s_norm2 = (s[..., None, :] @ s[..., :, None])[..., 0, 0]  # bit-equal to s @ s
+    value = 0.25 * (s_norm2 + np.sum(t_mat**2, axis=(-2, -1)) - lam_max)
+    return np.maximum(value, 0.0)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +323,23 @@ class CorrelationPoint:
 def correlation_points(times, alpha, beta, shift) -> list[CorrelationPoint]:
     """Correlation measures of the Choi states of the channels along a grid.
 
-    Negativity, mutual information, discord and geometric discord are
-    evaluated numerically on the closed-form Choi states; the coherence is
-    the transverse contraction alpha(t), the l1-coherence of the channel's
-    image of a state with unit initial coherence.
+    Negativity, mutual information and geometric discord are evaluated on
+    the stack of closed-form Choi states, the discord state by state; the
+    coherence is the transverse contraction alpha(t), the l1-coherence of
+    the channel's image of a state with unit initial coherence.
     """
+    omegas = covariant.choi_states(alpha, beta, shift)
+    e, i, d = negativity(omegas), mutual_information(omegas), geometric_discord(omegas)
     return [
         CorrelationPoint(
-            t=float(t),
-            negativity=negativity(omega),
-            mutual_information=mutual_information(omega),
-            discord=xstate_discord(omega),
-            geometric_discord=geometric_discord(omega),
-            coherence=float(c),
+            t=float(times[k]),
+            negativity=float(e[k]),
+            mutual_information=float(i[k]),
+            discord=xstate_discord(omegas[k]),
+            geometric_discord=float(d[k]),
+            coherence=float(alpha[k]),
         )
-        for t, c, omega in zip(times, alpha, covariant.choi_states(alpha, beta, shift))
+        for k in range(len(omegas))
     ]
 
 

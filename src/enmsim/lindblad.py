@@ -116,10 +116,6 @@ class PropagatedMap:
         r0 = np.asarray(r0, dtype=float)
         return np.einsum("nij,j->ni", self.matrices, r0) + self.shifts
 
-    def choi_at(self, t: float) -> np.ndarray:
-        m, v = self.at(t)
-        return choi_of_map(m, v)
-
 
 def propagate(gen: DecoherenceMatrix, grid: Sequence[float], r0=None) -> PropagatedMap:
     """Integrate the full affine Bloch map of the dynamics along ``grid``.

@@ -2,7 +2,8 @@
 
 Density matrices are plain complex numpy arrays; a single qubit is
 rho = (1 + r . sigma) / 2 for its Bloch vector r.  Entropies are in bits
-(base-2 logarithms throughout the package).
+(base-2 logarithms throughout the package).  The entropy, partial trace,
+partial transpose and Pauli expansion also map a (..., d, d) stack.
 """
 
 from __future__ import annotations
@@ -47,19 +48,19 @@ def density_to_bloch(rho) -> np.ndarray:
     return np.array([np.trace(s @ rho).real for s in PAULI[1:]])
 
 
-def von_neumann_entropy(rho) -> float:
+def von_neumann_entropy(rho):
     """Von Neumann entropy -Tr[rho log2 rho] in bits.
 
-    Eigenvalues below the PSD tolerance are clamped to zero before the
-    logarithm; an eigenvalue below -1e-9 raises :class:`NotAState`.
+    Nonpositive eigenvalues add nothing to the sum; an eigenvalue below
+    -1e-9 raises :class:`NotAState`.
     """
     rho = np.asarray(rho, dtype=complex)
     eig = np.linalg.eigvalsh(rho)
-    if eig.min() < -PSD_TOL:
+    if (eig < -PSD_TOL).any():
         raise NotAState(f"negative eigenvalue {eig.min()}")
-    eig = np.clip(eig, 0.0, None)
-    pos = eig[eig > 0.0]
-    return float(-(pos * np.log2(pos)).sum())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(eig > 0.0, eig * np.log2(eig), 0.0)
+    return -terms.sum(axis=-1)[()]
 
 
 def partial_trace(rho, subsystem: str) -> np.ndarray:
@@ -68,18 +69,18 @@ def partial_trace(rho, subsystem: str) -> np.ndarray:
     ``subsystem`` names the qubit that is removed ("A" is the first tensor
     factor); the reduced 2x2 state of the other qubit is returned.
     """
-    rho = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    rho = np.asarray(rho, dtype=complex).reshape(np.shape(rho)[:-2] + (2, 2, 2, 2))
     if subsystem == "B":
-        return np.einsum("abcb->ac", rho)
+        return np.einsum("...abcb->...ac", rho)
     if subsystem == "A":
-        return np.einsum("abad->bd", rho)
+        return np.einsum("...abad->...bd", rho)
     raise ValueError("subsystem must be 'A' or 'B'")
 
 
 def partial_transpose(rho) -> np.ndarray:
     """Partial transpose of a two-qubit state over the second qubit."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return r.transpose(0, 3, 2, 1).reshape(4, 4)
+    r = np.asarray(rho, dtype=complex).reshape(np.shape(rho)[:-2] + (2, 2, 2, 2))
+    return r.swapaxes(-3, -1).reshape(np.shape(rho))
 
 
 def trace_norm(m) -> float:
@@ -105,7 +106,7 @@ def check_two_qubit_state(rho) -> np.ndarray:
 def pauli_tensor(rho) -> np.ndarray:
     """Pauli expansion R[mu, nu] = Tr[(sigma_mu x sigma_nu) rho] of a 4x4 matrix."""
     rho = np.asarray(rho, dtype=complex)
-    return np.einsum("mnij,ji->mn", PAULI2, rho).real
+    return np.einsum("mnij,...ji->...mn", PAULI2, rho).real
 
 
 def density_from_pauli_tensor(tensor) -> np.ndarray:

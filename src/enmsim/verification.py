@@ -119,26 +119,26 @@ def check_roundtrip(seed: int = 0) -> CheckResult:
 
 def check_subadditivity(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
-    excess = []
-    for _ in range(100):
-        rho = random_density(rng, 4)
-        s_ab = qstate.von_neumann_entropy(rho)
-        s_a = qstate.von_neumann_entropy(qstate.partial_trace(rho, "B"))
-        s_b = qstate.von_neumann_entropy(qstate.partial_trace(rho, "A"))
-        excess.append(s_ab - s_a - s_b)
+    rho = np.array([random_density(rng, 4) for _ in range(100)])
+    s_ab = qstate.von_neumann_entropy(rho)
+    s_a = qstate.von_neumann_entropy(qstate.partial_trace(rho, "B"))
+    s_b = qstate.von_neumann_entropy(qstate.partial_trace(rho, "A"))
+    excess = s_ab - s_a - s_b
     return _result("subadditivity", ("max S(AB) - S(A) - S(B)", excess, 1e-9))
 
 
 def check_monotonicity(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
-    increases = []
+    states, outs = [], []
     for _ in range(100):
         rho = random_density(rng, 4)
         matrix, shift = random_covariant_channel(rng)
-        e0, i0 = correlations.negativity(rho), correlations.mutual_information(rho)
-        out = lindblad.apply_to_first_qubit(rho, matrix, shift)
-        e1, i1 = correlations.negativity(out), correlations.mutual_information(out)
-        increases += [e1 - e0, i1 - i0]
+        states.append(rho)
+        outs.append(lindblad.apply_to_first_qubit(rho, matrix, shift))
+    rho, out = np.array(states), np.array(outs)
+    e0, i0 = correlations.negativity(rho), correlations.mutual_information(rho)
+    e1, i1 = correlations.negativity(out), correlations.mutual_information(out)
+    increases = [e1 - e0, i1 - i0]
     return _result(
         "monotonicity", ("max increase of E or I under local noise", increases, 1e-9)
     )
@@ -170,10 +170,8 @@ def check_negativity_law(seed: int = 0) -> CheckResult:
     rates = covariant.CovariantRates.optimal(1.0, 0.0)
     grid = _ode_grid()
     pm = lindblad.propagate(covariant.decoherence_matrix(rates), grid=grid)
-    gaps = [
-        abs(correlations.negativity(pm.choi_at(t)) - 0.5 * np.exp(-2.0 * t))
-        for t in grid
-    ]
+    negativity = correlations.negativity(lindblad.choi_of_map(pm.matrices, pm.shifts))
+    gaps = np.abs(negativity - 0.5 * np.exp(-2.0 * pm.times))
     return _result("negativity-law", ("max |E(t) - e^(-2t)/2|", gaps, 1e-6))
 
 
@@ -222,13 +220,13 @@ def check_optimal_rate(seed: int = 0) -> CheckResult:
 def check_saturation(seed: int = 0) -> CheckResult:
     grid = _ode_grid()
     cases = [covariant.CovariantRates.optimal(1.0, x) for x in (0.0, 0.5)]
-    floors = [
-        abs(np.linalg.eigvalsh(covariant.choi_state(rates, t)).min())
-        for rates in [*cases, _time_dependent_optimal_rates()]
-        for t in grid
-    ]
+    floors = []
+    for rates in [*cases, _time_dependent_optimal_rates()]:
+        omega = covariant.choi_states(*covariant.channel_grid(rates, grid))
+        floors.append(np.abs(np.linalg.eigvalsh(omega).min(axis=-1)))
     pm = lindblad.propagate(covariant.decoherence_matrix(cases[0]), grid=grid)
-    ode_floors = [abs(np.linalg.eigvalsh(pm.choi_at(t)).min()) for t in grid]
+    omega = lindblad.choi_of_map(pm.matrices, pm.shifts)
+    ode_floors = np.abs(np.linalg.eigvalsh(omega).min(axis=-1))
     return _result(
         "saturation",
         ("max |min Choi eigenvalue|, closed form", floors, 1e-7),
@@ -398,16 +396,15 @@ def check_dominance(seed: int = 0) -> CheckResult:
                 a, x, lambda t: 0.5 * opt_rate(t)
             ),
         ]
-        for t in grid:
-            omega_opt = covariant.choi_state(opt, float(t))
-            e_opt = correlations.negativity(omega_opt)
-            i_opt = correlations.mutual_information(omega_opt)
-            for rival in rivals:
-                omega = covariant.choi_state(rival, float(t))
-                excess += [
-                    correlations.negativity(omega) - e_opt,
-                    correlations.mutual_information(omega) - i_opt,
-                ]
+        omega_opt = covariant.choi_states(*covariant.channel_grid(opt, grid))
+        e_opt = correlations.negativity(omega_opt)
+        i_opt = correlations.mutual_information(omega_opt)
+        for rival in rivals:
+            omega = covariant.choi_states(*covariant.channel_grid(rival, grid))
+            excess += [
+                correlations.negativity(omega) - e_opt,
+                correlations.mutual_information(omega) - i_opt,
+            ]
     return _result("dominance", ("max rival measure excess over optimal", excess, 1e-9))
 
 

@@ -151,17 +151,17 @@ def test_geometric_discord_examples():
     assert correlations.geometric_discord(BELL) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_geometric_discord_direct_formula():
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        rho = random_density(rng, 4)
-        tensor = qstate.pauli_tensor(rho)
-        s, t_mat = tensor[1:, 0], tensor[1:, 1:]
-        k_mat = np.outer(s, s) + t_mat @ t_mat.T
-        expected = 0.25 * (s @ s + (t_mat**2).sum() - np.linalg.eigvalsh(k_mat).max())
-        assert correlations.geometric_discord(rho) == pytest.approx(
-            max(0.0, expected), abs=1e-12
-        )
+def test_geometric_discord_direct_formula(state_stacks):
+    # the stacked arithmetic must equal this one-state formula bit for bit
+    for stack in state_stacks:
+        expected = []
+        for rho in stack:
+            tensor = qstate.pauli_tensor(rho)
+            s, t_mat = tensor[1:, 0], tensor[1:, 1:]
+            k_mat = np.outer(s, s) + t_mat @ t_mat.T
+            lam_max = np.linalg.eigvalsh(k_mat).max()
+            expected.append(max(0.0, 0.25 * (s @ s + (t_mat**2).sum() - lam_max)))
+        assert np.array_equal(correlations.geometric_discord(stack), expected)
 
 
 def test_correlation_table_values():
@@ -188,3 +188,18 @@ def test_local_noise_monotonicity():
         e1, i1 = correlations.negativity(out), correlations.mutual_information(out)
         assert e1 <= correlations.negativity(rho) + 1e-9
         assert i1 <= correlations.mutual_information(rho) + 1e-9
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        correlations.negativity,
+        correlations.mutual_information,
+        correlations.geometric_discord,
+    ],
+)
+def test_stack_equals_single_states(measure, state_stacks):
+    for stack in state_stacks:
+        stacked = measure(stack)
+        assert stacked.shape == stack.shape[:1]
+        assert np.array_equal(stacked, np.array([measure(rho) for rho in stack]))

@@ -146,3 +146,19 @@ def test_pauli_tensor_roundtrip():
         np.testing.assert_allclose(
             qstate.density_from_pauli_tensor(tensor), rho, atol=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        qstate.von_neumann_entropy,
+        lambda rho: qstate.partial_trace(rho, "A"),
+        lambda rho: qstate.partial_trace(rho, "B"),
+        qstate.partial_transpose,
+        qstate.pauli_tensor,
+    ],
+    ids=["entropy", "trace-A", "trace-B", "transpose", "pauli-tensor"],
+)
+def test_stack_equals_single_states(fn, state_stacks):
+    for stack in state_stacks:
+        assert np.array_equal(fn(stack), np.array([fn(rho) for rho in stack]))

@@ -33,13 +33,29 @@ def test_negativity_law_fails_on_nan_negativity(monkeypatch):
     calls = []
 
     def mostly_nan(rho):  # NaN at 47 of the suite's 51 times
-        calls.append(rho)
-        return negativity(rho) if len(calls) <= 4 else np.nan
+        calls.append(np.shape(rho))
+        values = negativity(rho)
+        values[4:] = np.nan
+        return values
 
     monkeypatch.setattr(correlations, "negativity", mostly_nan)
     result = verification.check_negativity_law()
-    assert len(calls) == 51
+    assert calls == [(51, 4, 4)]
     assert not result.passed, result.detail
+
+
+def test_dominance_fails_on_nan_mutual_information(monkeypatch):
+    mutual_information = correlations.mutual_information
+
+    def one_nan(rho):
+        values = mutual_information(rho)
+        values[-1] = np.nan
+        return values
+
+    monkeypatch.setattr(correlations, "mutual_information", one_nan)
+    result = verification.check_dominance()
+    assert not result.passed, result.detail
+    assert np.isnan(result.claims[0][1])
 
 
 def test_roundtrip_fails_on_nan_bloch_vectors(monkeypatch):
