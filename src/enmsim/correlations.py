@@ -1,11 +1,11 @@
 """Correlation and coherence quantifiers on two-qubit states.
 
 Includes entanglement negativity, quantum mutual information, quantum
-discord of X states (measurement on the second qubit, with a brute-force
-projective-measurement oracle as fallback and cross check), geometric
-discord, and the closed-form trajectories and limits of all of these under
-the correlation-optimal covariant channel.  Negativity, mutual information
-and geometric discord also map a (..., 4, 4) stack of states.
+discord of X states with a maximally mixed first marginal (measurement on
+the second qubit), a brute-force projective-measurement oracle that cross
+checks it, geometric discord, and the closed-form trajectories and limits
+of these under the correlation-optimal covariant channel.  Every measure but
+the oracle maps one 4x4 state or a (..., 4, 4) stack of states.
 """
 
 from __future__ import annotations
@@ -48,130 +48,44 @@ def mutual_information(rho):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class XState:
-    """Two-qubit state with only diagonal and anti-diagonal entries."""
-
-    diag: np.ndarray  # (rho11, rho22, rho33, rho44)
-    rho14: complex
-    rho23: complex
-
-    @classmethod
-    def from_density(cls, rho) -> "XState":
-        rho = np.asarray(rho, dtype=complex)
-        mask = np.array(
-            [
-                [1, 0, 0, 1],
-                [0, 1, 1, 0],
-                [0, 1, 1, 0],
-                [1, 0, 0, 1],
-            ],
-            dtype=bool,
-        )
-        if np.max(np.abs(rho[~mask])) > X_SHAPE_TOL:
-            raise NotXState("matrix has entries outside the X pattern")
-        diag = np.real(np.diag(rho)).copy()
-        if abs(diag.sum() - 1.0) > 1e-9:
-            raise NotXState("X state must have unit trace")
-        if abs(rho[0, 3]) > np.sqrt(max(diag[0] * diag[3], 0.0)) + 1e-9:
-            raise NotXState("|rho14| exceeds sqrt(rho11 rho44)")
-        if abs(rho[1, 2]) > np.sqrt(max(diag[1] * diag[2], 0.0)) + 1e-9:
-            raise NotXState("|rho23| exceeds sqrt(rho22 rho33)")
-        return cls(diag=diag, rho14=complex(rho[0, 3]), rho23=complex(rho[1, 2]))
-
-    def to_density(self) -> np.ndarray:
-        rho = np.diag(self.diag).astype(complex)
-        rho[0, 3] = self.rho14
-        rho[3, 0] = np.conj(self.rho14)
-        rho[1, 2] = self.rho23
-        rho[2, 1] = np.conj(self.rho23)
-        return rho
-
-    @property
-    def marginal_a_is_mixed(self) -> bool:
-        d = self.diag
-        return abs((d[0] + d[1]) - 0.5) <= MIXED_MARGINAL_TOL
+_X_PATTERN = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+_CANDIDATE_POLARS = (0.0, np.pi, np.pi / 2.0)  # z from either pole, equatorial
 
 
-@dataclass(frozen=True)
-class DiscordWitness:
-    """Measurement parameters achieving the conditional-entropy minimum.
+def _conditional_entropy(t33: float, w3: float, m_eq: float, polar: float) -> float:
+    """Conditional entropy of an X state measured at one polar angle on qubit B.
 
-    ``k`` and ``l`` = 1 - k parametrize the projective measurement on the
-    second qubit (k = 1 or 0 is the z measurement, k = 1/2 equatorial);
-    ``theta`` and ``theta_prime`` are the Bloch lengths of the two
-    conditional states of the first qubit.
+    Valid when the first marginal is maximally mixed.  The azimuthal angle
+    is already optimized out: the best equatorial direction aligns with the
+    largest singular value ``m_eq`` = 2(|rho14| + |rho23|) of the transverse
+    correlation block; ``t33`` and ``w3`` are the zz correlation and the
+    second qubit's Bloch z component.
     """
-
-    k: float
-    l: float
-    theta: float
-    theta_prime: float
-
-
-@dataclass(frozen=True)
-class DiscordResult:
-    value: float
-    method: str  # "candidates" or "brute-force"
-    witness: DiscordWitness | None
-
-
-def _conditional_entropy_mixed_a(x: XState, polar: float) -> tuple[float, float, float]:
-    """Conditional entropy for measurement direction at given polar angle.
-
-    Valid for X states whose first marginal is maximally mixed.  The
-    azimuthal angle is already optimized out: the best equatorial direction
-    aligns with the largest singular value 2(|rho14| + |rho23|) of the
-    transverse correlation block.  Returns (entropy, theta, theta_prime).
-    """
-    d = x.diag
-    t33 = d[0] - d[1] - d[2] + d[3]
-    w3 = d[0] - d[1] + d[2] - d[3]
-    m_eq = 2.0 * (abs(x.rho14) + abs(x.rho23))
     cos_t, sin_t = np.cos(polar), np.sin(polar)
     length = np.sqrt((m_eq * sin_t) ** 2 + (t33 * cos_t) ** 2)
     entropy = 0.0
-    thetas = []
     for sign in (+1.0, -1.0):
         p = 0.5 * (1.0 + sign * w3 * cos_t)
-        if p <= 1e-15:
-            thetas.append(0.0)
-            continue
-        theta = min(length / (2.0 * p), 1.0)
-        thetas.append(theta)
-        entropy += p * binary_entropy((1.0 + theta) / 2.0)
-    return entropy, thetas[0], thetas[1]
+        if p > 1e-15:
+            theta = min(length / (2.0 * p), 1.0)
+            entropy += p * binary_entropy((1.0 + theta) / 2.0)
+    return entropy
 
 
-def _discord_candidates(x: XState) -> tuple[float, DiscordWitness]:
-    """Discord of an X state with maximally mixed first marginal.
+def _min_conditional_entropy(t33: float, w3: float, m_eq: float) -> float:
+    """Least conditional entropy over the candidate measurements and a polish.
 
-    The conditional entropy is evaluated at the three candidate
-    measurements (k, l) in {(1,0), (0,1), (1/2,1/2)} and the minimum taken;
-    a bounded one-dimensional search over the polar angle then guards
-    against the rare X states whose optimum is at an interior angle.
+    A bounded one-dimensional search over the polar angle guards against
+    the rare X states whose optimum is at an interior angle.
     """
-    candidates = [(0.0, 1.0, 0.0), (np.pi, 0.0, 1.0), (np.pi / 2.0, 0.5, 0.5)]
-    best = None
-    for polar, k, l in candidates:
-        entropy, theta, theta_p = _conditional_entropy_mixed_a(x, polar)
-        if best is None or entropy < best[0]:
-            best = (entropy, k, l, theta, theta_p)
+    best = min(_conditional_entropy(t33, w3, m_eq, polar) for polar in _CANDIDATE_POLARS)
     res = minimize_scalar(
-        lambda p: _conditional_entropy_mixed_a(x, p)[0],
+        lambda polar: _conditional_entropy(t33, w3, m_eq, polar),
         bounds=(0.0, np.pi / 2.0),
         method="bounded",
         options={"xatol": 1e-10},
     )
-    if np.isfinite(res.fun) and res.fun < best[0]:
-        entropy, theta, theta_p = _conditional_entropy_mixed_a(x, float(res.x))
-        k = (1.0 + np.cos(res.x)) / 2.0
-        best = (entropy, float(k), float(1.0 - k), theta, theta_p)
-    cond_entropy, k, l, theta, theta_p = best
-    rho = x.to_density()
-    classical = 1.0 - cond_entropy
-    value = max(0.0, mutual_information(rho) - classical)
-    return value, DiscordWitness(k=k, l=l, theta=theta, theta_prime=theta_p)
+    return min(best, res.fun)
 
 
 def _measurement_stats(rho):
@@ -248,28 +162,31 @@ def discord_brute_force(rho) -> float:
     return max(0.0, mutual_information(rho) - classical)
 
 
-def xstate_discord_details(rho) -> DiscordResult:
-    """Quantum discord of an X state, with method metadata.
+def xstate_discord(rho):
+    """Quantum discord in bits of an X state or a (..., 4, 4) stack of them.
 
-    The closed-form candidate evaluation applies when the first marginal is
-    maximally mixed (measurements on the second qubit); otherwise the value
-    silently falls back to the brute-force minimization and the result is
-    flagged accordingly.
+    The measurement is on qubit B, and the first marginal must be maximally
+    mixed: a matrix with entries outside the X pattern, a trace other than
+    one or a biased first marginal raises :class:`NotXState`.
     """
-    if isinstance(rho, XState):
-        x = rho
-    else:
-        x = XState.from_density(rho)
-    if x.marginal_a_is_mixed:
-        value, witness = _discord_candidates(x)
-        return DiscordResult(value=value, method="candidates", witness=witness)
-    value = discord_brute_force(x.to_density())
-    return DiscordResult(value=value, method="brute-force", witness=None)
-
-
-def xstate_discord(rho) -> float:
-    """Quantum discord of an X state in bits (measurement on qubit B)."""
-    return xstate_discord_details(rho).value
+    rho = np.asarray(rho, dtype=complex)
+    if np.any(np.abs(rho[..., ~_X_PATTERN]) > X_SHAPE_TOL):
+        raise NotXState("matrix has entries outside the X pattern")
+    d = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
+    if np.any(np.abs(d.sum(axis=-1) - 1.0) > 1e-9):
+        raise NotXState("X state must have unit trace")
+    d1, d2, d3, d4 = np.moveaxis(d, -1, 0)
+    if np.any(np.abs((d1 + d2) - 0.5) > MIXED_MARGINAL_TOL):
+        raise NotXState("first marginal of the X state is not maximally mixed")
+    r14, r23 = rho[..., 0, 3], rho[..., 1, 2]
+    m_eq = 2.0 * (np.hypot(r14.real, r14.imag) + np.hypot(r23.real, r23.imag))
+    per_state = zip(
+        (d1 - d2 - d3 + d4).ravel().tolist(),
+        (d1 - d2 + d3 - d4).ravel().tolist(),
+        m_eq.ravel().tolist(),
+    )
+    cond = np.reshape([_min_conditional_entropy(*args) for args in per_state], d1.shape)
+    return np.maximum(mutual_information(rho) - (1.0 - cond), 0.0)[()]
 
 
 def geometric_discord(rho):
@@ -323,19 +240,19 @@ class CorrelationPoint:
 def correlation_points(times, alpha, beta, shift) -> list[CorrelationPoint]:
     """Correlation measures of the Choi states of the channels along a grid.
 
-    Negativity, mutual information and geometric discord are evaluated on
-    the stack of closed-form Choi states, the discord state by state; the
-    coherence is the transverse contraction alpha(t), the l1-coherence of
-    the channel's image of a state with unit initial coherence.
+    Each measure is evaluated once on the stack of closed-form Choi states;
+    the coherence is the transverse contraction alpha(t), the l1-coherence
+    of the channel's image of a state with unit initial coherence.
     """
     omegas = covariant.choi_states(alpha, beta, shift)
     e, i, d = negativity(omegas), mutual_information(omegas), geometric_discord(omegas)
+    q = xstate_discord(omegas)
     return [
         CorrelationPoint(
             t=float(times[k]),
             negativity=float(e[k]),
             mutual_information=float(i[k]),
-            discord=xstate_discord(omegas[k]),
+            discord=float(q[k]),
             geometric_discord=float(d[k]),
             coherence=float(alpha[k]),
         )

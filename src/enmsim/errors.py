@@ -38,7 +38,7 @@ class InfeasibleRates(EnmError):
 
 
 class NotXState(EnmError):
-    """Density matrix does not have the X (diagonal + anti-diagonal) shape."""
+    """Not a unit-trace X state with a maximally mixed first marginal."""
 
 
 class SingularPureState(EnmError):

@@ -156,6 +156,25 @@ def test_infeasible_rates_exit_two(capsys):
         assert out == "" and len(err.splitlines()) == 1, (flags, err)
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        "--a 1 --x 1 --t-min 1 --t-max 18.8 --points 2",
+        "--a 2 --x 2 --t-min 9.3 --t-max 9.4 --points 50",
+        "--a 3 --x 3 --f zero --t-min 6 --t-max 7 --points 50",
+        "--a 1 --x 1 --f expr:0*t --t-min 18 --t-max 19 --points 20",
+    ],
+)
+def test_discord_of_channels_that_pass_the_cptp_guard(flags, capsys):
+    # with |x| = a the Choi state tends to a product state whose |rho14|
+    # sits within rounding of its positivity bound sqrt(rho11 rho44)
+    assert cli.main(["correlations", *flags.split()]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    q = np.array([float(row.split(",")[3]) for row in out.splitlines()[1:]])
+    assert q.size > 0 and np.all(np.isfinite(q)) and np.all(q >= 0.0)
+
+
 def test_choi_refuses_non_cp_channel(capsys):
     assert cli.main(["choi", "--f", "constant:-5"]) == 2
     out, err = capsys.readouterr()

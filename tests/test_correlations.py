@@ -74,8 +74,13 @@ def test_xstate_shape_validation():
     bad = BELL.copy()
     bad[0, 1] = 0.1
     bad[1, 0] = 0.1
-    with pytest.raises(NotXState):
-        correlations.XState.from_density(bad)
+    with pytest.raises(NotXState, match="X pattern"):
+        correlations.xstate_discord(bad)
+    with pytest.raises(NotXState, match="unit trace"):
+        correlations.xstate_discord(np.eye(4) / 2)
+    # one bad state in a stack refuses the whole stack
+    with pytest.raises(NotXState, match="X pattern"):
+        correlations.xstate_discord(np.array([BELL, bad, np.eye(4) / 4]))
 
 
 def test_xstate_discord_trivial_and_bell():
@@ -113,35 +118,43 @@ def test_asymptotic_formulas():
     )
 
 
-def test_discord_details_and_witness():
-    rates = covariant.CovariantRates.optimal(1.0, 0.5)
-    result = correlations.xstate_discord_details(covariant.choi_state(rates, 30.0))
-    assert result.method == "candidates"
-    w = result.witness
-    assert 0 <= w.theta <= 1 and 0 <= w.theta_prime <= 1
-    assert w.k == pytest.approx(0.5, abs=1e-6)
-    assert w.l == pytest.approx(1.0 - w.k)
-    # at the equatorial optimum both conditional states have the disk radius
-    assert w.theta == pytest.approx(0.5 * np.sqrt(0.75), abs=1e-6)
-
-
-def test_discord_brute_force_fallback_for_biased_marginal():
+def test_discord_refuses_biased_marginal():
     # X state whose first marginal is not maximally mixed
     rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     rho[0, 3] = rho[3, 0] = 0.05
-    result = correlations.xstate_discord_details(rho)
-    assert result.method == "brute-force"
-    assert result.witness is None
-    assert result.value == pytest.approx(correlations.discord_brute_force(rho), abs=1e-12)
+    with pytest.raises(NotXState, match="maximally mixed"):
+        correlations.xstate_discord(rho)
 
 
 def test_discord_candidates_match_oracle():
     rng = np.random.default_rng(3)
-    for _ in range(25):
-        x = random_x_state_mixed_marginal(rng)
-        fast = correlations.xstate_discord(x)
-        slow = correlations.discord_brute_force(x.to_density())
-        assert fast == pytest.approx(slow, abs=1e-5)
+    states = np.array([random_x_state_mixed_marginal(rng) for _ in range(25)])
+    fast = correlations.xstate_discord(states)
+    for q, rho in zip(fast, states):
+        assert q == pytest.approx(correlations.discord_brute_force(rho), abs=1e-5)
+
+
+def test_xstate_discord_stack_equals_single_states():
+    rng = np.random.default_rng(4)
+    bank = np.array([random_x_state_mixed_marginal(rng) for _ in range(100)])
+    times = np.concatenate([[0.0], np.geomspace(1e-3, 60.0, 99)])
+    chois = [
+        covariant.choi_states(*covariant.channel_grid(rates, times))
+        for rates in (
+            covariant.CovariantRates.optimal(1.0, 0.4),
+            covariant.CovariantRates.optimal(1.0, 1.0),  # |x| = a: a late-time product state
+            covariant.CovariantRates.optimal(1.3, -1.3),
+        )
+    ]
+    for stack in (bank, *chois):
+        stacked = correlations.xstate_discord(stack)
+        single = [correlations.xstate_discord(rho) for rho in stack]
+        assert all(np.ndim(q) == 0 for q in single)
+        assert np.array_equal(stacked, single)
+        assert np.array_equal(np.signbit(stacked), np.signbit(single))
+    nested = np.array(chois)  # a (3, T, 4, 4) stack
+    expected = [correlations.xstate_discord(stack) for stack in chois]
+    assert np.array_equal(correlations.xstate_discord(nested), expected)
 
 
 def test_geometric_discord_examples():
