@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from . import covariant, qstate
 from .errors import NotXState
@@ -78,6 +77,8 @@ def _min_conditional_entropy(t33: float, w3: float, m_eq: float) -> float:
     A bounded one-dimensional search over the polar angle guards against
     the rare X states whose optimum is at an interior angle.
     """
+    from scipy.optimize import minimize_scalar
+
     best = min(_conditional_entropy(t33, w3, m_eq, polar) for polar in _CANDIDATE_POLARS)
     res = minimize_scalar(
         lambda polar: _conditional_entropy(t33, w3, m_eq, polar),
@@ -104,6 +105,8 @@ def _brute_force_conditional_entropy(rho) -> float:
     with golden-ratio offsets, then the best direction is polished with a
     local simplex search.
     """
+    from scipy.optimize import minimize
+
     s, w, t_mat = _measurement_stats(rho)
 
     def entropy_of(directions):

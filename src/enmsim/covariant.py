@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from . import lindblad
 from .errors import InfeasibleRates, IntegratorDiverged, QuadratureFailed
@@ -145,6 +144,9 @@ def decoherence_matrix(
 
 
 def _quad(fn, lo, hi):
+    # scipy is the only function-local import: commands that never call it start without it
+    from scipy.integrate import quad
+
     # full_output returns QUADPACK's warning as a fourth item instead of printing it
     val, err, _, *problem = quad(
         fn, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200, full_output=1
@@ -174,6 +176,8 @@ def _lz(rates: CovariantRates, t: float) -> float:
         raise ValueError(f"lz needs a finite time t >= 0, got {t}")
     if t == 0.0:
         return 0.0
+    from scipy.integrate import solve_ivp
+
     segments = rates._lz_segments
     while not segments or segments[-1][0] < t:
         start, lz0 = segments[-1][:2] if segments else (0.0, 0.0)

@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import minimize
 
 from . import qstate
 from .errors import (
@@ -127,6 +125,8 @@ def propagate(gen: DecoherenceMatrix, grid: Sequence[float], r0=None) -> Propaga
     given the trajectory of that initial Bloch vector is attached to the
     result.
     """
+    from scipy.integrate import solve_ivp
+
     times = np.asarray(grid, dtype=float)
     if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
         raise ValueError("grid must be strictly ascending")
@@ -278,6 +278,8 @@ def closest_product_state(rho) -> tuple[float, np.ndarray, np.ndarray]:
     A coarse 9-level Bloch grid per qubit seeds a Nelder-Mead search over
     the six Bloch parameters.  Returns (distance, r_A, r_B).
     """
+    from scipy.optimize import minimize
+
     tensor = qstate.pauli_tensor(rho)
 
     # batch evaluation of all grid product states via the Pauli expansion

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import correlations, covariant, lindblad, metrology, qstate, tomography
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -430,8 +431,6 @@ def available_suites() -> list[str]:
 
 def resolve_suites(selector: str) -> list[str]:
     """Expand a --suite argument into suite names, validating each."""
-    from .errors import ConfigError
-
     if selector == "all":
         return available_suites()
     names = [s.strip() for s in selector.split(",") if s.strip()]

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -271,3 +274,49 @@ def test_verify_determinism():
     _, first = run_cli(argv)
     _, second = run_cli(argv)
     assert first == second
+
+
+def _cold_start(runs):
+    """Run ``cli.main`` on each flag string in one fresh interpreter.
+
+    pytest has already imported scipy, so only a child shows what the CLI
+    loads.  Returns the exit codes and the scipy modules loaded at the end.
+    """
+    child = (
+        "import contextlib, io, json, sys\n"
+        "from enmsim import cli\n"
+        "codes = []\n"
+        f"for flags in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        codes.append(cli.main(flags.split()))\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_constant_rate_commands_start_without_scipy():
+    codes, loaded = _cold_start([
+        "trajectory --r0 0,0,1 --x 0.5 --f zero --t-max 2 --points 40",
+        "choi --a 1 --x 0.3 --f optimal --t-max 3 --points 30",
+        "coherence --f zero --t-max 4 --points 80",
+        "coherence --f constant:0.3 --t-max 4 --points 80",
+        "coherence --f optimal --t-max 4 --points 80",
+        "qfi --t-max 5 --points 60",
+        "qfi --t-max 5 --points 60 --format json",
+        "spectrum --s-max 4 --points 100 --format json",
+        "choi --a nan",
+    ])
+    assert codes == [0] * 8 + [1]
+    assert loaded == []
+
+
+def test_correlations_loads_no_quadrature_or_ode():
+    codes, loaded = _cold_start(["correlations --a 1 --x 0 --f optimal --t-max 3 --points 50"])
+    assert codes == [0]
+    assert "scipy.integrate" not in loaded
