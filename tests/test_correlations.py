@@ -130,8 +130,59 @@ def test_discord_candidates_match_oracle():
     rng = np.random.default_rng(3)
     states = np.array([random_x_state_mixed_marginal(rng) for _ in range(25)])
     fast = correlations.xstate_discord(states)
-    for q, rho in zip(fast, states):
-        assert q == pytest.approx(correlations.discord_brute_force(rho), abs=1e-5)
+    assert fast == pytest.approx(correlations.discord_brute_force(states), abs=1e-5)
+
+
+def test_discord_oracle_stack_equals_single_states():
+    rng = np.random.default_rng(4)
+    x_bank = np.array([random_x_state_mixed_marginal(rng) for _ in range(60)])
+    ginibre = np.array([random_density(rng, 4) for _ in range(40)])
+    for stack in (x_bank, ginibre):
+        stacked = correlations.discord_brute_force(stack)
+        single = [correlations.discord_brute_force(rho) for rho in stack]
+        assert all(np.ndim(q) == 0 for q in single)
+        assert np.array_equal(stacked, single)
+    nested = np.array([x_bank[:20], ginibre[:20]])  # a (2, 20, 4, 4) stack
+    expected = [correlations.discord_brute_force(stack) for stack in nested]
+    assert np.array_equal(correlations.discord_brute_force(nested), expected)
+
+
+def _dense_grid_discords(states, points=600):
+    """Discords from the best of a points x points grid of projectors on qubit B.
+
+    Each direction's projectors act on the density matrix itself; the
+    conditional states of qubit A are diagonalized in closed form.
+    """
+    polar = np.pi * (np.arange(points) + 0.5) / points
+    azimuth = 2.0 * np.pi * np.arange(points) / points
+    pp, aa = (g.ravel() for g in np.meshgrid(polar, azimuth, indexing="ij"))
+    n = np.stack([np.sin(pp) * np.cos(aa), np.sin(pp) * np.sin(aa), np.cos(pp)], axis=-1)
+    n_sigma = np.einsum("ki,ijl->kjl", n, qstate.PAULI[1:])
+    projectors = [0.5 * (np.eye(2) + sign * n_sigma).reshape(-1, 4) for sign in (1.0, -1.0)]
+    discords = []
+    for rho in states:
+        # <ab| rho |cd> as a matrix over (d, b) rows and (a, c) columns
+        blocks = rho.reshape(2, 2, 2, 2).transpose(3, 1, 0, 2).reshape(4, 4)
+        cond = np.zeros(len(n))
+        for projector in projectors:
+            rho_a = projector @ blocks  # unnormalized (a, c) entries per direction
+            prob = np.real(rho_a[:, 0] + rho_a[:, 3])
+            det = np.real(rho_a[:, 0] * rho_a[:, 3]) - np.abs(rho_a[:, 1]) ** 2
+            gap = np.sqrt(np.maximum(prob**2 - 4.0 * det, 0.0))
+            for eig in ((prob + gap) / 2.0, (prob - gap) / 2.0):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    cond -= np.where(eig > 1e-300, eig * np.log2(eig / prob), 0.0)
+        s_a = qstate.von_neumann_entropy(qstate.partial_trace(rho, "B"))
+        discords.append(correlations.mutual_information(rho) - s_a + cond.min())
+    return np.array(discords)
+
+
+def test_discord_oracle_finds_interior_optima():
+    rng = np.random.default_rng(17)
+    bank = np.array([random_density(rng, 4) for _ in range(8)])
+    oracle = correlations.discord_brute_force(bank)
+    dense = _dense_grid_discords(bank)
+    assert np.all(oracle <= dense + 1e-12), oracle - dense
 
 
 def test_xstate_discord_stack_equals_single_states():

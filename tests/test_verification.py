@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from enmsim import correlations, qstate, verification
+from enmsim.errors import ConfigError
 
 
 @pytest.mark.parametrize("where", [0, 2, 4])
@@ -69,3 +70,16 @@ def test_roundtrip_fails_on_nan_bloch_vectors(monkeypatch):
     monkeypatch.setattr(qstate, "density_to_bloch", with_nan)
     result = verification.check_roundtrip()
     assert not result.passed, result.detail
+
+
+def test_repeated_suite_runs_once_in_first_seen_order():
+    assert verification.resolve_suites("limits,roundtrip,limits, roundtrip") == [
+        "limits",
+        "roundtrip",
+    ]
+
+
+@pytest.mark.parametrize("selector", ["", " ", ",", " , "])
+def test_empty_suite_selector_says_no_suite_was_named(selector):
+    with pytest.raises(ConfigError, match="^no suite named; available: roundtrip, "):
+        verification.resolve_suites(selector)
