@@ -272,28 +272,88 @@ def _product_tensor(r_a, r_b) -> np.ndarray:
     return np.outer(u, w)
 
 
+#: [1, r] for each point r of ``_BALL``.
+_BALL_U = np.concatenate([np.ones((len(_BALL), 1)), _BALL], axis=1)
+#: Grid pairs whose distance is computed to set the sign-witness bounds.
+_SEED_WITNESSES = 32
+#: Allowance for rounding in the seed bounds and in the computed distances.
+_SEED_MARGIN = 1e-9
+#: Grid pairs evaluated per eigvalsh call.
+_SEED_CHUNK = 4096
+
+
+def _grid_matrices(tensor, pairs) -> np.ndarray:
+    """rho - sigma_a x sigma_b for the grid pairs ``pairs``, pair p = (p // n, p % n).
+
+    numpy's matmul sends a single row to gemv, which rounds differently from
+    the gemm that a stack of rows gets, so a lone pair is evaluated twice.
+    """
+    rows = np.resize(pairs, max(len(pairs), 2))
+    a, b = np.divmod(rows, len(_BALL))
+    coeff = tensor - _BALL_U[a, :, None] * _BALL_U[b, None, :]
+    mats = 0.25 * (coeff.reshape(-1, 16) @ qstate.PAULI2.reshape(16, 16))
+    return mats.reshape(-1, 4, 4)[: len(pairs)]
+
+
+def _grid_seed(tensor) -> tuple[int, float]:
+    """Pair index and distance of the grid's closest product state to rho.
+
+    ``tensor`` is the Pauli tensor of rho.  The pairs are bounded as the
+    :func:`closest_product_state` docstring sets out, and only those whose
+    bound is within ``_SEED_MARGIN`` of the best probed distance are evaluated.
+    """
+    u = _BALL_U
+    sq = np.einsum("am,am->a", u, u)
+    frob2 = 0.25 * (np.sum(tensor * tensor) - 2.0 * (u @ tensor @ u.T) + np.outer(sq, sq))
+    # the expansion cancels near rho, so its rounding is taken off before the root
+    bound = np.sqrt(np.maximum(frob2 - _SEED_MARGIN, 0.0))
+    probes = np.argpartition(bound, _SEED_WITNESSES, axis=None)[:_SEED_WITNESSES]
+    vals, vecs = np.linalg.eigh(_grid_matrices(tensor, probes))
+    best = np.abs(vals).sum(axis=1).min()
+    signs = np.einsum("kij,kj,klj->kil", vecs, np.sign(vals), vecs.conj())
+    for a in qstate.pauli_tensor(signs):
+        np.maximum(bound, 0.25 * (np.sum(tensor * a) - u @ a @ u.T), out=bound)
+    candidates = np.flatnonzero(bound <= best + _SEED_MARGIN)
+    dists = np.concatenate(
+        [
+            np.abs(np.linalg.eigvalsh(_grid_matrices(tensor, chunk))).sum(axis=1)
+            for chunk in np.split(candidates, range(_SEED_CHUNK, len(candidates), _SEED_CHUNK))
+        ]
+    )
+    i = int(np.argmin(dists))
+    return int(candidates[i]), float(dists[i])
+
+
 def closest_product_state(rho) -> tuple[float, np.ndarray, np.ndarray]:
     """Minimize || rho - sigma_A x sigma_B ||_1 over product states.
 
-    A coarse 9-level Bloch grid per qubit seeds a Nelder-Mead search over
-    the six Bloch parameters.  Returns (distance, r_A, r_B).
+    The best product state of a 9-level Bloch grid per qubit seeds a
+    Nelder-Mead search over the six Bloch parameters.  Returns
+    (distance, r_A, r_B); rho must pass :func:`qstate.check_two_qubit_state`.
+
+    The seed is found without building all n^2 grid pairs.  Each pair gets
+    a lower bound on ||X_ab||_1, X_ab = rho - sigma_a x sigma_b, from (n, n)
+    matrix products, with T the Pauli tensor of rho and u = [1, r]:
+
+    * Frobenius: ||X||_1 >= ||X||_F, and
+      ||X_ab||_F^2 = (||T||^2 - 2 u_a.T.u_b + |u_a|^2 |u_b|^2) / 4.
+    * Sign witnesses: tr(A X) <= ||X||_1 whenever ||A||_op <= 1.  The 32
+      pairs cd with the lowest Frobenius bound are evaluated, and each
+      A = sign(X_cd) gives tr(A X_ab) = (<T, a> - u_a.a.u_b) / 4, where a
+      is the Pauli tensor of A.
+
+    The least of those 32 distances caps the minimum, so only pairs whose
+    bound is within 1e-9 of it are evaluated, with the same arithmetic as a
+    full-grid evaluation.  Every pair that ties the minimum is among them,
+    so the seed, its first-index tie-break and its distance equal the full
+    grid's bit for bit.
     """
     from scipy.optimize import minimize
 
-    tensor = qstate.pauli_tensor(rho)
-
-    # batch evaluation of all grid product states via the Pauli expansion
-    n_a = _BALL.shape[0]
-    u = np.concatenate([np.ones((n_a, 1)), _BALL], axis=1)  # (n, 4)
-    coeff = tensor[None, :, :] - np.einsum("am,bn->abmn", u, u).reshape(-1, 4, 4)
-    mats = 0.25 * (coeff.reshape(-1, 16) @ qstate.PAULI2.reshape(16, 16)).reshape(
-        -1, 4, 4
-    )
-    dists = np.abs(np.linalg.eigvalsh(mats)).sum(axis=1)
-    best = int(np.argmin(dists))
-    best_a, best_b = divmod(best, n_a)
+    tensor = qstate.pauli_tensor(qstate.check_two_qubit_state(rho))
+    best, grid_val = _grid_seed(tensor)
+    best_a, best_b = divmod(best, len(_BALL))
     x0 = np.concatenate([_BALL[best_a], _BALL[best_b]])
-    grid_val = float(dists[best])
 
     def clip_to_ball(p):
         r_a, r_b = p[:3].copy(), p[3:].copy()

@@ -94,6 +94,9 @@ def check_two_qubit_state(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise NotAState("two-qubit state must be 4x4")
+    # NaN compares false, so it would pass the checks below
+    if not np.isfinite(rho).all():
+        raise NotAState("two-qubit state must have finite entries")
     if abs(np.trace(rho) - 1.0) > 1e-9:
         raise NotAState("two-qubit state must have unit trace")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-9:

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from enmsim import covariant, lindblad, qstate
-from enmsim.errors import NonHermitianGamma, SingularIntermediateMap
+from enmsim.errors import NonHermitianGamma, NotAState, SingularIntermediateMap
 from enmsim.verification import random_bloch, random_density
 
 PLUS = [1.0, 0.0, 0.0]
@@ -330,6 +335,95 @@ def test_closest_product_state_product_input():
     rho = np.kron(random_density(rng, 2), random_density(rng, 2))
     distance, _, _ = lindblad.closest_product_state(rho)
     assert distance <= 1e-6
+
+
+def test_closest_product_state_rejects_nan():
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 3] = rho[3, 0] = np.nan
+    with pytest.raises(NotAState, match="finite"):
+        lindblad.closest_product_state(rho)
+
+
+def decay_bound_states():
+    """The two evolved Bell states of the decay-bound verify suite."""
+    gen = lindblad.DecoherenceMatrix.constant(0.5 * np.eye(3))
+    pm = lindblad.propagate(gen, grid=[0.5, 2.0])
+    return [lindblad.apply_to_first_qubit(qstate.BELL_PROJECTOR, *pm.at(t)) for t in (0.5, 2.0)]
+
+
+def full_grid_seed(rho):
+    """Index and distance of the best of all product states of the seed grid."""
+    n = len(lindblad._BALL)
+    u = np.hstack([np.ones((n, 1)), lindblad._BALL])
+    coeff = qstate.pauli_tensor(rho) - np.einsum("am,bn->abmn", u, u).reshape(-1, 4, 4)
+    mats = 0.25 * (coeff.reshape(-1, 16) @ qstate.PAULI2.reshape(16, 16)).reshape(-1, 4, 4)
+    dists = np.abs(np.linalg.eigvalsh(mats)).sum(axis=1)
+    best = int(np.argmin(dists))
+    return best, float(dists[best])
+
+
+def test_pruned_seed_equals_full_grid():
+    rng = np.random.default_rng(17)
+    grid_pairs = lindblad._BALL[rng.integers(len(lindblad._BALL), size=(8, 2))]
+
+    def product(r_a, r_b):
+        return np.kron(qstate.bloch_to_density(r_a), qstate.bloch_to_density(r_b))
+
+    bank = [random_density(rng, 4) for _ in range(36)]
+    # grid products sit at seed distance 0; products 1e-9 off the grid are
+    # where the Frobenius expansion's rounding must not prune the winner
+    bank += [product(*pair) for pair in grid_pairs[:4]]
+    bank += [product(*(pair * (1.0 - 1e-9))) for pair in grid_pairs[4:]]
+    bank += [product(random_bloch(rng), random_bloch(rng)) for _ in range(4)]
+    # the Bell projector ties many grid pairs, so the first index must win
+    bank += [qstate.BELL_PROJECTOR, np.eye(4) / 4, *decay_bound_states()]
+    for rho in bank:
+        # distances are finite and nonnegative, so == compares their bits
+        assert lindblad._grid_seed(qstate.pauli_tensor(rho)) == full_grid_seed(rho)
+
+
+def test_single_grid_pair_rounds_as_in_a_stack():
+    # the seed often has one candidate pair, and its distance must carry
+    # the same bits as in the full grid's stacked evaluation
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        tensor = qstate.pauli_tensor(random_density(rng, 4))
+        pairs = rng.integers(len(lindblad._BALL) ** 2, size=8)
+        stacked = lindblad._grid_matrices(tensor, pairs)
+        for k in range(len(pairs)):
+            single = lindblad._grid_matrices(tensor, pairs[k : k + 1])
+            assert np.array_equal(single, stacked[k : k + 1])
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_closest_product_state_adds_little_memory():
+    # A fresh interpreter, so that no earlier test has grown the heap.  Its
+    # ru_maxrss starts at the peak of the process that spawned it, so it
+    # reads VmHWM, the peak resident set of its own image, in kB.
+    child = textwrap.dedent(
+        """
+        import numpy as np
+        import scipy.optimize
+        from enmsim import lindblad, qstate
+
+        def peak_kb():
+            with open("/proc/self/status") as status:
+                line = next(line for line in status if line.startswith("VmHWM:"))
+            return int(line.split()[1])
+
+        gen = lindblad.DecoherenceMatrix.constant(0.5 * np.eye(3))
+        m, v = lindblad.propagate(gen, grid=[0.5]).at(0.5)
+        rho = lindblad.apply_to_first_qubit(qstate.BELL_PROJECTOR, m, v)
+        before = peak_kb()
+        lindblad.closest_product_state(rho)
+        print(peak_kb() - before)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(lindblad.__file__))
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 20 * 1024
 
 
 def test_correlation_decay_report_bell():

@@ -67,6 +67,15 @@ def test_entropy_rejects_negative_eigenvalues():
         qstate.von_neumann_entropy(np.diag([1.1, -0.1]))
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_check_two_qubit_state_rejects_non_finite_entries(entry, value):
+    rho = np.eye(4, dtype=complex) / 4
+    rho[entry] = rho[entry[::-1]] = value
+    with pytest.raises(NotAState, match="finite"):
+        qstate.check_two_qubit_state(rho)
+
+
 def test_entropy_bounds():
     rng = np.random.default_rng(3)
     for dim in (2, 4):
