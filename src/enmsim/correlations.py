@@ -31,12 +31,13 @@ def binary_entropy(p: float) -> float:
 
 def negativity(rho):
     """Entanglement negativity (||rho^T_B||_1 - 1) / 2."""
-    eig = np.linalg.eigvalsh(qstate.partial_transpose(rho))
+    eig = np.linalg.eigvalsh(qstate.partial_transpose(qstate.finite_states(rho)))
     return np.maximum((np.abs(eig).sum(axis=-1) - 1.0) / 2.0, 0.0)[()]
 
 
 def mutual_information(rho):
     """Quantum mutual information S(A) + S(B) - S(AB) in bits."""
+    rho = qstate.finite_states(rho)
     s_a = qstate.von_neumann_entropy(qstate.partial_trace(rho, "B"))
     s_b = qstate.von_neumann_entropy(qstate.partial_trace(rho, "A"))
     return np.maximum(s_a + s_b - qstate.von_neumann_entropy(rho), 0.0)[()]
@@ -89,47 +90,49 @@ def _min_conditional_entropy(t33: float, w3: float, m_eq: float) -> float:
     return min(best, res.fun)
 
 
-def _measurement_stats(rho):
-    """Local Bloch vectors and correlation matrix of a two-qubit state."""
-    tensor = qstate.pauli_tensor(rho)
-    s = tensor[..., 1:, 0]
-    w = tensor[..., 0, 1:]
-    t_mat = tensor[..., 1:, 1:]
-    return s, w, t_mat
-
-
 # ---------------------------------------------------------------------------
 # Brute-force discord oracle
 # ---------------------------------------------------------------------------
 
 _ORACLE_GRID = 200  # polar and azimuth points of the golden-offset grid
+_ORACLE_BLOCK = 2000  # grid directions per block: a (4, 2 x 2000) array is below 128 KiB
 _ZOOM_POINTS = 11  # per angle in each local zoom grid
 _ZOOM_ROUNDS = 14
 _ZOOM_SHRINK = 0.3  # span factor per round
 
 
-def _measured_entropy(s, w, t_mat, directions):
+def _outcomes(directions):
+    """Vectors (1, n) and (1, -n) of both outcomes of measuring along directions.
+
+    ``directions`` is ``(..., 3, K)``; the result is ``(..., 4, 2K)``, the
+    ``+n`` outcomes first.
+    """
+    signed = np.concatenate([directions, -directions], axis=-1)
+    ones = np.ones(signed.shape[:-2] + (1, signed.shape[-1]))
+    return np.concatenate([ones, signed], axis=-2)
+
+
+def _measured_entropy(tensor, outcomes):
     """Conditional entropy of qubit A after measuring qubit B along directions.
 
-    ``s``, ``w`` and ``t_mat`` are the Bloch vectors and correlation matrix
-    of one state, or of a stack with leading shape ``(...)``; ``directions``
-    is ``(3, K)`` or ``(..., 3, K)``.  Returns the ``(..., K)`` entropies.
+    ``tensor`` is the Pauli tensor of one state, or a stack with leading
+    shape ``(...)``; ``outcomes`` is :func:`_outcomes` of ``(3, K)`` or
+    ``(..., 3, K)`` directions.  Returns the ``(..., K)`` entropies.  One
+    matrix product gives, for each outcome ``+n`` or ``-n``, twice its
+    probability ``2p = 1 +/- w.n`` and the unnormalized Bloch vector
+    ``s +/- T n`` of qubit A, whose length is ``2p theta``.  The outcome adds
+    ``p h((1 + theta) / 2) = 2p (2 - (1+theta) log2(1+theta)
+    - (1-theta) log2(1-theta)) / 4``, which vanishes with ``p``.
     """
-    tn = t_mat @ directions
-    wn = np.einsum("...i,...ik->...k", w, directions)
-    total = 0.0
-    for sign in (+1.0, -1.0):
-        p = 0.5 * (1.0 + sign * wn)
-        u = s[..., :, None] + sign * tn
-        length = np.linalg.norm(u, axis=-2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            theta = np.where(p > 1e-15, length / np.maximum(2.0 * p, 1e-300), 0.0)
-        theta = np.clip(theta, 0.0, 1.0)
-        hi = np.clip((1.0 + theta) / 2.0, 1e-300, 1.0)
-        lo = np.clip((1.0 - theta) / 2.0, 1e-300, 1.0)
-        h = -(hi * np.log2(hi) + np.where(lo > 1e-299, lo * np.log2(lo), 0.0))
-        total = total + p * h
-    return total
+    moments = tensor @ outcomes
+    two_p = moments[..., 0, :]
+    bloch = moments[..., 1:, :]
+    length = np.sqrt(np.einsum("...ik,...ik->...k", bloch, bloch))
+    theta = np.minimum(length / np.maximum(two_p, 1e-300), 1.0)
+    up, down = 1.0 + theta, np.maximum(1.0 - theta, 1e-300)
+    entropy = two_p * (2.0 - up * np.log2(up) - down * np.log2(down))
+    half = entropy.shape[-1] // 2
+    return (entropy[..., :half] + entropy[..., half:]) / 4.0
 
 
 def _directions(polar, azimuth):
@@ -140,31 +143,43 @@ def _directions(polar, azimuth):
     )
 
 
-def _brute_force_conditional_entropy(rho):
-    """Minimal conditional entropy over projective measurements on qubit B.
-
-    ``rho`` is a (N, 4, 4) stack.  Each state's measurement directions are
-    first sampled on a 200 x 200 polar/azimuth grid with golden-ratio
-    offsets, one state at a time.  Then all states are zoomed together:
-    each round evaluates an 11 x 11 grid around every state's best
-    direction, with spans that start at the grid spacing and shrink by a
-    factor 0.3 per round.  The running best never rises above the grid value.
-    """
-    s, w, t_mat = _measurement_stats(rho)
+def _oracle_angles():
+    """Polar and azimuth angles of the 200 x 200 golden-offset grid, flattened."""
     golden = 0.6180339887498949
     steps = np.arange(_ORACLE_GRID) + golden
     pp, aa = np.meshgrid(
         np.pi * steps / _ORACLE_GRID, 2.0 * np.pi * steps / _ORACLE_GRID, indexing="ij"
     )
-    pp, aa = pp.ravel(), aa.ravel()
-    grid = _directions(pp, aa)
+    return pp.ravel(), aa.ravel()
+
+
+def _brute_force_conditional_entropy(rho):
+    """Minimal conditional entropy over projective measurements on qubit B.
+
+    ``rho`` is a (N, 4, 4) stack.  Each state's measurement directions are
+    first sampled on a 200 x 200 polar/azimuth grid with golden-ratio
+    offsets.  The grid is scanned in blocks of ``_ORACLE_BLOCK`` directions,
+    one state at a time within a block, so every temporary stays small and
+    the whole grid is never held at once.  A block's minimum replaces a
+    state's running best only when it is strictly lower, so the first grid
+    index wins a tie.  Then all states are zoomed together: each round
+    evaluates an 11 x 11 grid around every state's best direction, with
+    spans that start at the grid spacing and shrink by a factor 0.3 per
+    round.  The running best never rises above the grid value.
+    """
+    tensor = qstate.pauli_tensor(rho)
+    pp, aa = _oracle_angles()
     rows = np.arange(len(rho))
-    best_k = np.empty(len(rho), dtype=int)
-    best = np.empty(len(rho))
-    for n in rows:  # one state at a time keeps the (3, 40000) grid the peak
-        values = _measured_entropy(s[n], w[n], t_mat[n], grid)
-        best_k[n] = np.argmin(values)
-        best[n] = values[best_k[n]]
+    best_k = np.zeros(len(rho), dtype=int)
+    best = np.full(len(rho), np.inf)
+    for start in range(0, len(pp), _ORACLE_BLOCK):
+        block = slice(start, start + _ORACLE_BLOCK)
+        outcomes = _outcomes(_directions(pp[block], aa[block]))
+        for n in rows:
+            values = _measured_entropy(tensor[n], outcomes)
+            k = np.argmin(values)
+            if values[k] < best[n]:
+                best[n], best_k[n] = values[k], start + k
     polar, azimuth = pp[best_k], aa[best_k]
     offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
     dp, da = (g.ravel() for g in np.meshgrid(offsets, offsets, indexing="ij"))
@@ -172,7 +187,7 @@ def _brute_force_conditional_entropy(rho):
     for _ in range(_ZOOM_ROUNDS):
         local_p = polar[:, None] + span_p * dp
         local_a = azimuth[:, None] + span_a * da
-        values = _measured_entropy(s, w, t_mat, _directions(local_p, local_a))
+        values = _measured_entropy(tensor, _outcomes(_directions(local_p, local_a)))
         k = np.argmin(values, axis=-1)
         better = values[rows, k] < best
         best = np.where(better, values[rows, k], best)
@@ -190,7 +205,7 @@ def discord_brute_force(rho):
     qubit B (see :func:`_brute_force_conditional_entropy`); nothing is
     shared with the closed-form :func:`xstate_discord` it cross checks.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = qstate.finite_states(rho)
     flat = rho.reshape(-1, 4, 4)
     s_a = qstate.von_neumann_entropy(qstate.partial_trace(flat, "B"))
     classical = s_a - _brute_force_conditional_entropy(flat)
@@ -205,7 +220,7 @@ def xstate_discord(rho):
     mixed: a matrix with entries outside the X pattern, a trace other than
     one or a biased first marginal raises :class:`NotXState`.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = qstate.finite_states(rho)
     if np.any(np.abs(rho[..., ~_X_PATTERN]) > X_SHAPE_TOL):
         raise NotXState("matrix has entries outside the X pattern")
     d = np.real(np.diagonal(rho, axis1=-2, axis2=-1))
@@ -232,7 +247,8 @@ def geometric_discord(rho):
     T_ij = Tr[(sigma_i x sigma_j) rho], and lambda_max the largest
     eigenvalue of K = x x^T + T T^T.
     """
-    s, _, t_mat = _measurement_stats(rho)
+    tensor = qstate.pauli_tensor(qstate.finite_states(rho))
+    s, t_mat = tensor[..., 1:, 0], tensor[..., 1:, 1:]
     k_mat = s[..., :, None] * s[..., None, :] + t_mat @ np.swapaxes(t_mat, -1, -2)
     lam_max = np.linalg.eigvalsh(k_mat).max(axis=-1)
     s_norm2 = (s[..., None, :] @ s[..., :, None])[..., 0, 0]  # bit-equal to s @ s

@@ -89,14 +89,23 @@ def trace_norm(m) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
+def finite_states(rho) -> np.ndarray:
+    """A state or a stack of states as a complex array with finite entries.
+
+    NaN compares false, so it would pass every tolerance check downstream;
+    any non-finite entry raises :class:`NotAState` instead.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if not np.isfinite(rho).all():
+        raise NotAState("state must have finite entries")
+    return rho
+
+
 def check_two_qubit_state(rho) -> np.ndarray:
     """Validate a 4x4 density matrix and return it as an array."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if np.shape(rho) != (4, 4):
         raise NotAState("two-qubit state must be 4x4")
-    # NaN compares false, so it would pass the checks below
-    if not np.isfinite(rho).all():
-        raise NotAState("two-qubit state must have finite entries")
+    rho = finite_states(rho)
     if abs(np.trace(rho) - 1.0) > 1e-9:
         raise NotAState("two-qubit state must have unit trace")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-9:

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from enmsim import correlations, covariant, lindblad, qstate
-from enmsim.errors import NotXState
+from enmsim.errors import NotAState, NotXState
 from enmsim.verification import (
     random_covariant_channel,
     random_density,
@@ -147,34 +149,88 @@ def test_discord_oracle_stack_equals_single_states():
     assert np.array_equal(correlations.discord_brute_force(nested), expected)
 
 
-def _dense_grid_discords(states, points=600):
-    """Discords from the best of a points x points grid of projectors on qubit B.
+def _projector_conditional_entropies(rho, n):
+    """Conditional entropy of qubit A after projectors on qubit B along each row of n.
 
-    Each direction's projectors act on the density matrix itself; the
-    conditional states of qubit A are diagonalized in closed form.
+    The projectors act on the density matrix itself; the conditional
+    states of qubit A are diagonalized in closed form.
     """
+    n_sigma = np.einsum("ki,ijl->kjl", n, qstate.PAULI[1:])
+    projectors = [0.5 * (np.eye(2) + sign * n_sigma).reshape(-1, 4) for sign in (1.0, -1.0)]
+    # <ab| rho |cd> as a matrix over (d, b) rows and (a, c) columns
+    blocks = rho.reshape(2, 2, 2, 2).transpose(3, 1, 0, 2).reshape(4, 4)
+    cond = np.zeros(len(n))
+    for projector in projectors:
+        rho_a = projector @ blocks  # unnormalized (a, c) entries per direction
+        prob = np.real(rho_a[:, 0] + rho_a[:, 3])
+        det = np.real(rho_a[:, 0] * rho_a[:, 3]) - np.abs(rho_a[:, 1]) ** 2
+        gap = np.sqrt(np.maximum(prob**2 - 4.0 * det, 0.0))
+        for eig in ((prob + gap) / 2.0, (prob - gap) / 2.0):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cond -= np.where(eig > 1e-300, eig * np.log2(eig / prob), 0.0)
+    return cond
+
+
+def _dense_grid_discords(states, points=600):
+    """Discords from the best of a points x points grid of projectors on qubit B."""
     polar = np.pi * (np.arange(points) + 0.5) / points
     azimuth = 2.0 * np.pi * np.arange(points) / points
     pp, aa = (g.ravel() for g in np.meshgrid(polar, azimuth, indexing="ij"))
     n = np.stack([np.sin(pp) * np.cos(aa), np.sin(pp) * np.sin(aa), np.cos(pp)], axis=-1)
-    n_sigma = np.einsum("ki,ijl->kjl", n, qstate.PAULI[1:])
-    projectors = [0.5 * (np.eye(2) + sign * n_sigma).reshape(-1, 4) for sign in (1.0, -1.0)]
     discords = []
     for rho in states:
-        # <ab| rho |cd> as a matrix over (d, b) rows and (a, c) columns
-        blocks = rho.reshape(2, 2, 2, 2).transpose(3, 1, 0, 2).reshape(4, 4)
-        cond = np.zeros(len(n))
-        for projector in projectors:
-            rho_a = projector @ blocks  # unnormalized (a, c) entries per direction
-            prob = np.real(rho_a[:, 0] + rho_a[:, 3])
-            det = np.real(rho_a[:, 0] * rho_a[:, 3]) - np.abs(rho_a[:, 1]) ** 2
-            gap = np.sqrt(np.maximum(prob**2 - 4.0 * det, 0.0))
-            for eig in ((prob + gap) / 2.0, (prob - gap) / 2.0):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    cond -= np.where(eig > 1e-300, eig * np.log2(eig / prob), 0.0)
+        cond = _projector_conditional_entropies(rho, n)
         s_a = qstate.von_neumann_entropy(qstate.partial_trace(rho, "B"))
         discords.append(correlations.mutual_information(rho) - s_a + cond.min())
     return np.array(discords)
+
+
+def _pure_product(rng):
+    kets = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    a, b = (np.outer(ket, ket.conj()) / np.vdot(ket, ket).real for ket in kets)
+    return np.kron(a, b)
+
+
+def test_measured_entropy_matches_projectors_at_oracle_directions():
+    rng = np.random.default_rng(23)
+    zero_zero = np.zeros((4, 4), dtype=complex)
+    zero_zero[0, 0] = 1.0
+    states = np.array(
+        [random_density(rng, 4) for _ in range(6)]
+        + [_pure_product(rng) for _ in range(6)]
+        + [zero_zero]
+    )
+    grid = correlations._directions(*correlations._oracle_angles())
+    # along +z and -z one outcome of |00> has probability 0
+    poles = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, -1.0]])
+    directions = np.concatenate([grid, poles], axis=-1)
+    tensors = qstate.pauli_tensor(states)
+    for rho, tensor in zip(states, tensors):
+        kernel = correlations._measured_entropy(tensor, correlations._outcomes(directions))
+        expected = _projector_conditional_entropies(rho, directions.T)
+        assert np.max(np.abs(kernel - expected)) < 1e-12
+    # the zoom rounds pass a stack of states with their own directions
+    sample = directions[:, ::97]
+    per_state = np.broadcast_to(sample, (len(states),) + sample.shape)
+    stacked = correlations._measured_entropy(tensors, correlations._outcomes(per_state))
+    for rho, values in zip(states, stacked):
+        expected = _projector_conditional_entropies(rho, sample.T)
+        assert np.max(np.abs(values - expected)) < 1e-12
+    at_poles = correlations._measured_entropy(tensors[-1], correlations._outcomes(poles))
+    assert at_poles == pytest.approx([0.0, 0.0], abs=1e-15)
+
+
+def test_discord_oracle_scans_its_grid_in_small_blocks():
+    rng = np.random.default_rng(29)
+    stack = np.array([random_density(rng, 4) for _ in range(20)])
+    correlations.discord_brute_force(stack)  # warm-up
+    tracemalloc.start()
+    try:
+        correlations.discord_brute_force(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 def test_discord_oracle_finds_interior_optima():
@@ -252,6 +308,27 @@ def test_local_noise_monotonicity():
         e1, i1 = correlations.negativity(out), correlations.mutual_information(out)
         assert e1 <= correlations.negativity(rho) + 1e-9
         assert i1 <= correlations.mutual_information(rho) + 1e-9
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        correlations.negativity,
+        correlations.mutual_information,
+        correlations.geometric_discord,
+        correlations.xstate_discord,
+        correlations.discord_brute_force,
+    ],
+    ids=lambda measure: measure.__name__,
+)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("stacked", [False, True], ids=["state", "stack"])
+def test_measures_reject_non_finite_states(measure, value, stacked):
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 3] = rho[3, 0] = value
+    states = np.array([np.eye(4) / 4, rho, BELL]) if stacked else rho
+    with pytest.raises(NotAState, match="finite"):
+        measure(states)
 
 
 @pytest.mark.parametrize(
