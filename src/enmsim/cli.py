@@ -158,8 +158,6 @@ def _validate(cfg: argparse.Namespace) -> None:
 def rates_from_config(cfg: argparse.Namespace) -> covariant.CovariantRates:
     mode = cfg.f_mode
     if mode == "optimal":
-        if abs(cfg.x) > cfg.a:
-            raise InfeasibleRates("--f optimal requires |x| <= a")
         return covariant.CovariantRates.optimal(cfg.a, cfg.x)
     if mode == "zero":
         return covariant.CovariantRates.from_callables(cfg.a, cfg.x, 0.0)

@@ -34,8 +34,8 @@ dephasing rate f that minimizes the loss of correlations and coherence,
 
     f = -a + [2 a u (1 + u) - 2 a lz^2 - 2 x lz] / ((1 + u)^2 - lz^2),
 
-with u = exp(-2A); that rate is negative for all t > 0 whenever |x| <= a,
-so the optimal dynamics is non-Markovian at all times.
+with u = exp(-2A); that rate is 0 for |x| = a and negative for all t > 0
+whenever |x| < a, so the optimal dynamics is then non-Markovian at all times.
 """
 
 from __future__ import annotations
@@ -198,21 +198,34 @@ def _lz(rates: CovariantRates, t: float) -> float:
     return float(segments[k][2](t)[0])
 
 
-def _optimal_integral(rates: CovariantRates, big_a, lz):
-    u = np.exp(-2.0 * big_a)
-    if rates.is_constant_ax and rates.a_const > 0.0:
-        q = rates.x_const / rates.a_const
-        if abs(q) > 1.0 + 1e-12:
+def _dephasing_vanishes(rates: CovariantRates) -> bool:
+    """Constant |x| = a (a = 0 included): CP is saturated with f = F = 0."""
+    return rates.is_constant_ax and abs(rates.x_const) == rates.a_const
+
+
+def _saturation_gap(rates: CovariantRates, u, lz=None):
+    """g = (1 + u)^2 - lz^2 = 4 alpha^2 of the optimal channel, u = exp(-2A).
+
+    Constant (a, x) are checked against |x| <= a and, after
+    :func:`_dephasing_vanishes`, give (1 - q^2)(1 + u^2) + 2u(1 + q^2) with
+    q = x/a: only positive terms, so g > 0 even once u underflows.
+    """
+    if rates.is_constant_ax:
+        if abs(rates.x_const) > rates.a_const:
             raise InfeasibleRates("optimal dephasing requires |x| <= a")
-        if abs(abs(q) - 1.0) < 1e-15:
-            return np.zeros(np.shape(big_a))
-        # expanded form with only positive terms: stable for u -> 0, |q| -> 1
-        arg = ((1.0 - q * q) * (1.0 + u * u) + 2.0 * u * (1.0 + q * q)) / 4.0
-    else:
-        arg = ((1.0 + u) ** 2 - lz**2) / 4.0
-    if (arg <= 0.0).any():
+        q = rates.x_const / rates.a_const
+        return (1.0 - q * q) * (1.0 + u * u) + 2.0 * u * (1.0 + q * q)
+    gap = (1.0 + u) ** 2 - lz**2
+    if gap <= 0.0:
         raise InfeasibleRates("(1 + e^{-2A})^2 <= lz^2: no admissible dephasing")
-    return -0.5 * (2.0 * big_a + np.log(arg))
+    return gap
+
+
+def _optimal_integral(rates: CovariantRates, big_a, lz):
+    if _dephasing_vanishes(rates):
+        return np.zeros(np.shape(big_a))
+    gap = _saturation_gap(rates, np.exp(-2.0 * big_a), lz)
+    return -0.5 * (2.0 * big_a + np.log(gap / 4.0))
 
 
 def optimal_dephasing_integral(rates: CovariantRates, t: float) -> float:
@@ -232,32 +245,31 @@ def optimal_dephasing_rate(rates: CovariantRates, t: float) -> float:
     This is dF/dt of :func:`optimal_dephasing_integral`, taken analytically
     with dA/dt = a and dlz/dt = -2 a lz - 2 x:
 
-        f = -a + [2 a u (1 + u) - 2 a lz^2 - 2 x lz] / ((1 + u)^2 - lz^2),
+        f = -a + [2 a u (1 + u) - 2 a lz^2 - 2 x lz] / g,
 
-    with u = exp(-2A).  For constant (a, x) the closed form
+    with u = exp(-2A) and the saturation gap g = (1 + u)^2 - lz^2.  For
+    constant (a, x) the closed form
 
-        f(t) = -a (1 - q^2) (1 - u^2) / ((1 + u)^2 - q^2 (1 - u)^2),
+        f(t) = -a (1 - q^2) (1 - u^2) / g,
+        g = (1 - q^2) (1 + u^2) + 2 u (1 + q^2),
 
     with q = x/a and u = exp(-2 a t), is used; it equals -a tanh(a t) for
-    x = 0 and vanishes identically for |x| = a.
+    x = 0, and f is exactly 0 at every time for |x| = a.  Rates with
+    |x| > a raise :class:`InfeasibleRates`.
     """
+    if _dephasing_vanishes(rates):
+        return 0.0
     if rates.is_constant_ax:
-        a, x = rates.a_const, rates.x_const
-        if abs(x) > a:
-            raise InfeasibleRates("optimal dephasing requires |x| <= a")
-        if a == 0.0:
-            return 0.0
-        q = x / a
+        a = rates.a_const
         u = np.exp(-2.0 * a * t)
-        denom = (1.0 + u) ** 2 - q**2 * (1.0 - u) ** 2
-        return -a * (1.0 - q**2) * (1.0 - u**2) / denom
+        gap = _saturation_gap(rates, u)  # checks |x| <= a before q = x/a
+        q = rates.x_const / a
+        return -a * (1.0 - q * q) * (1.0 - u * u) / gap
     a, x = rates.a(t), rates.x(t)
     u = np.exp(-2.0 * _int_a(rates, t))
     lz = _lz(rates, t)
-    denom = (1.0 + u) ** 2 - lz**2
-    if denom <= 0.0:
-        raise InfeasibleRates("(1 + e^{-2A})^2 <= lz^2: no admissible dephasing")
-    return -a + (2.0 * a * u * (1.0 + u) - 2.0 * a * lz**2 - 2.0 * x * lz) / denom
+    gap = _saturation_gap(rates, u, lz)
+    return -a + (2.0 * a * u * (1.0 + u) - 2.0 * a * lz**2 - 2.0 * x * lz) / gap
 
 
 def _coefficients(rates: CovariantRates, t):

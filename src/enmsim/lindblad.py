@@ -25,7 +25,7 @@ r3 toward -x/a:  dr3/dt = -2a r3 - 2x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,8 +65,11 @@ class DecoherenceMatrix:
         g = np.asarray(self.gamma(t), dtype=complex)
         if g.shape != (3, 3):
             raise NonHermitianGamma("gamma(t) must be a 3x3 matrix")
-        if np.max(np.abs(g - g.conj().T)) > HERMITICITY_TOL:
-            raise NonHermitianGamma(f"gamma({t}) is not Hermitian")
+        # NaN fails the comparison, and inf - inf is NaN: both are refused
+        with np.errstate(invalid="ignore"):
+            gap = abs(g - g.conj().T).max()
+        if not gap <= HERMITICITY_TOL:
+            raise NonHermitianGamma(f"gamma({t}) is not finite and Hermitian")
         return g
 
 
@@ -97,22 +100,13 @@ class PropagatedMap:
     times: np.ndarray
     matrices: np.ndarray  # shape (n, 3, 3)
     shifts: np.ndarray  # shape (n, 3)
-    bloch: np.ndarray | None = field(default=None)  # optional trajectory of r0
+    bloch: np.ndarray | None = None  # optional trajectory of r0
 
-    def index_of(self, t: float) -> int:
+    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         idx = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"time {t} is not on the propagation grid")
-        return idx
-
-    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        idx = self.index_of(t)
         return self.matrices[idx], self.shifts[idx]
-
-    def apply(self, r0) -> np.ndarray:
-        """Trajectory M_t r0 + v_t for every grid time."""
-        r0 = np.asarray(r0, dtype=float)
-        return np.einsum("nij,j->ni", self.matrices, r0) + self.shifts
 
 
 def propagate(gen: DecoherenceMatrix, grid: Sequence[float], r0=None) -> PropagatedMap:
@@ -164,10 +158,10 @@ def propagate(gen: DecoherenceMatrix, grid: Sequence[float], r0=None) -> Propaga
         sol_y = sol.y
     matrices = sol_y[:9].T.reshape(-1, 3, 3)
     shifts = sol_y[9:].T.copy()
-    pm = PropagatedMap(times=times, matrices=matrices, shifts=shifts)
-    if r0 is not None:
-        object.__setattr__(pm, "bloch", pm.apply(r0))
-    return pm
+    bloch = None
+    if r0 is not None:  # the trajectory M_t r0 + v_t at every grid time
+        bloch = np.einsum("nij,j->ni", matrices, np.asarray(r0, dtype=float)) + shifts
+    return PropagatedMap(times=times, matrices=matrices, shifts=shifts, bloch=bloch)
 
 
 def choi_of_map(matrix, shift=None) -> np.ndarray:

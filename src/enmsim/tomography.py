@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lindblad, qstate
+from . import qstate
 
 #: Refractive index difference between the two polarizations.
 INDEX_DIFFERENCE = 0.0089
@@ -133,8 +133,3 @@ def spectrum_moduli(s) -> np.ndarray:
     half = 0.5 * (1.0 + mag)
     return np.stack([np.ones_like(mag), half, half, mag], axis=-1)
 
-
-def choi_of_optical_channel(s: float) -> np.ndarray:
-    """Choi matrix of the optical channel at decoherence exponent s."""
-    matrix, shift = channel_from_exponent(s)
-    return lindblad.choi_of_map(matrix, shift)

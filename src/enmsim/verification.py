@@ -350,7 +350,7 @@ def check_spectrum(seed: int = 0) -> CheckResult:
     rates = covariant.CovariantRates.optimal(1.0, 0.0)
     s_match = 0.7
     choi_gap = qstate.trace_norm(
-        tomography.choi_of_optical_channel(s_match)
+        lindblad.choi_of_map(*tomography.channel_from_exponent(s_match))
         - covariant.choi_state(rates, s_match / 2.0)
     )
     m91 = tomography.spectrum_moduli(0.91)

@@ -141,7 +141,8 @@ def test_config_errors_exit_one(capsys):
 @pytest.mark.filterwarnings("error")  # a warning would print more than one line
 def test_infeasible_rates_exit_two(capsys):
     assert cli.main(["correlations", "--a", "1", "--x", "2", "--f", "optimal"]) == 2
-    capsys.readouterr()
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
     for command in ("trajectory", "choi", "correlations", "coherence", "qfi"):
         for rates in ("--f constant:-5", "--x 2 --f zero"):
             assert cli.main([command, *rates.split(), "--points", "3"]) == 2

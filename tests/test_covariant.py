@@ -165,9 +165,36 @@ def test_optimal_rate_examples():
         assert all(
             covariant.optimal_dephasing_rate(r, t) < 0 for t in (0.01, 0.5, 2.0)
         )
-    # x = a degenerates to zero dephasing
-    flat = covariant.CovariantRates.optimal(1.0, 1.0)
-    assert covariant.optimal_dephasing_rate(flat, 1.3) == pytest.approx(0.0, abs=1e-12)
+    # |x| = a degenerates to zero dephasing, also once e^{-2at} underflows
+    for a, x in ((1.0, 1.0), (1.3, -1.3)):
+        flat = covariant.CovariantRates.optimal(a, x)
+        for t in (1.3, 19.0, 40.0, 500.0):
+            assert covariant.optimal_dephasing_rate(flat, t) == 0.0, (a, x, t)
+
+
+def _closed_form_rate(a, x, t):
+    """The constant-rate optimal rate over the denominator (1+u)^2 - q^2 (1-u)^2.
+
+    That denominator cancels to 0 at |q| = 1 once u < 2^-53, so the
+    reference is NaN there; its rounding grows like 1/(1 - q^2), which is
+    why the pairs compared with it keep |q| <= 3/4 off the edge.
+    """
+    q, u = x / a, np.exp(-2.0 * a * t)
+    return -a * (1.0 - q**2) * (1.0 - u**2) / ((1.0 + u) ** 2 - q**2 * (1.0 - u) ** 2)
+
+
+def test_constant_optimal_rate_matches_closed_form_reference():
+    pairs = ((1.0, 0.0), (1.0, 0.3), (1.0, -0.75), (1.0, 1.0), (2.0, -2.0),
+             (0.5, 0.25), (3.0, 1.5), (0.1, -0.05), (7.5, 2.0), (1e-3, 5e-4))
+    for a, x in pairs:
+        rates = covariant.CovariantRates.optimal(a, x)
+        for t in np.linspace(0.0, 40.0, 401):
+            got = covariant.optimal_dephasing_rate(rates, t)
+            assert np.isfinite(got), (a, x, t)
+            with np.errstate(invalid="ignore"):
+                want = _closed_form_rate(a, x, t)
+            if np.isfinite(want):
+                assert abs(got - want) <= 1e-15 * a, (a, x, t)
 
 
 def test_optimal_rate_value_at_one():
@@ -285,9 +312,14 @@ def test_time_dependent_optimal_rate_matches_integral_derivative():
 def test_optimal_rate_requires_feasible_asymmetry():
     with pytest.raises(InfeasibleRates):
         covariant.CovariantRates.optimal(1.0, 1.5)
-    bad = covariant.CovariantRates.from_callables(1.0, 1.5, 0.0)
-    with pytest.raises(InfeasibleRates):
-        covariant.optimal_dephasing_rate(bad, 1.0)
+    # constant rates that skipped the constructor are refused by f and F alike
+    for a, x, f in ((1.0, 1.5, 0.0), (0.0, 0.4, -0.1)):
+        bad = covariant.CovariantRates.from_callables(a, x, f)
+        for t in (0.01, 1.0):
+            with pytest.raises(InfeasibleRates):
+                covariant.optimal_dephasing_rate(bad, t)
+            with pytest.raises(InfeasibleRates):
+                covariant.optimal_dephasing_integral(bad, t)
 
 
 def test_choi_state_examples():

@@ -189,6 +189,34 @@ def test_propagate_rejects_non_hermitian_gamma():
         lindblad.propagate(crooked, grid=[0.5, 1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gamma_is_refused(bad):
+    # finite up to t = 0.5, then one diagonal entry is not
+    turning = lindblad.DecoherenceMatrix(
+        gamma=lambda t: np.diag([1.0, 1.0, 1.0 if t <= 0.5 else bad]).astype(complex)
+    )
+    with pytest.raises(NonHermitianGamma, match="finite"):
+        lindblad.is_cp_divisible(turning, np.linspace(0.0, 1.0, 11))
+    with pytest.raises(NonHermitianGamma, match="finite"):
+        lindblad.propagate(turning, grid=[0.5, 1.0])
+
+
+def test_optimal_generator_at_the_edge():
+    # |x| = a: f = 0, so gamma >= 0 and the map is the closed-form channel
+    rates = covariant.CovariantRates.optimal(1.0, 1.0)
+    gen = covariant.decoherence_matrix(rates)
+    grid = np.linspace(0.0, 30.0, 31)
+    assert lindblad.is_cp_divisible(gen, grid) == (True, None)
+    pm = lindblad.propagate(gen, grid)
+    alpha, beta, shift = covariant.channel_grid(rates, grid)
+    matrices = np.zeros((len(grid), 3, 3))
+    matrices[:, 0, 0] = matrices[:, 1, 1] = alpha
+    matrices[:, 2, 2] = beta
+    np.testing.assert_allclose(pm.matrices, matrices, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(pm.shifts[:, 2], -shift, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(pm.shifts[:, :2], 0.0, rtol=0.0, atol=1e-9)
+
+
 def test_choi_of_map_matches_covariant_closed_form():
     rates = covariant.CovariantRates.optimal(1.0, 0.3)
     for t in (0.2, 1.0, 4.0):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from enmsim import covariant, qstate, tomography
+from enmsim import covariant, lindblad, qstate, tomography
 from enmsim.verification import random_covariant_channel
 
 
@@ -77,7 +77,7 @@ def test_optical_channel_equals_optimal_covariant():
         np.testing.assert_allclose(matrix, ch.matrix, atol=1e-10)
         np.testing.assert_allclose(shift, ch.shift_vector, atol=1e-12)
         gap = qstate.trace_norm(
-            tomography.choi_of_optical_channel(s) - covariant.choi_state(rates, s / 2)
+            lindblad.choi_of_map(matrix, shift) - covariant.choi_state(rates, s / 2)
         )
         assert gap < 1e-9
 
