@@ -15,8 +15,8 @@ so everything is controlled by the integrals A = int a, F = int f and the
 longitudinal shift lz(t) = -2 exp(-2A(t)) int_0^t x exp(2A), the solution
 of dlz/dt = -2 a lz - 2 x with lz(0) = 0 (the fixed point of r3 for
 constant rates is -x/a).  The channel at time t contracts the transverse
-plane by alpha = exp(-A - F), the axis by beta = exp(-2A), and shifts it
-by -c with c = -lz.
+plane by alpha = exp(-A - F), the axis by beta = u = exp(-2A), and shifts
+it by -c with c = -lz.
 
 For constant (a, x) all of these have closed forms.  Otherwise A(t) and a
 callable non-optimal F(t) are single adaptive quadratures, and lz(t) is
@@ -29,13 +29,16 @@ Complete positivity requires
 
     exp(-2A) + |lz| <= 1     and     4 alpha^2 + c^2 <= (1 + beta)^2.
 
-Saturating the second inequality at every time singles out the unique
-dephasing rate f that minimizes the loss of correlations and coherence,
+With m = (1 + u + lz)/2 and p = (1 + u - lz)/2, the populations that |0>
+and |1> keep, the second inequality reads alpha^2 <= m p.  Saturating it
+at every time, alpha = sqrt(m p), singles out the unique dephasing rate f
+that minimizes the loss of correlations and coherence.  With
+dm/dt = a - x - 2 a m and dp/dt = a + x - 2 a p it is
 
-    f = -a + [2 a u (1 + u) - 2 a lz^2 - 2 x lz] / ((1 + u)^2 - lz^2),
+    f = a - (a - x) / (2 m) - (a + x) / (2 p),
 
-with u = exp(-2A); that rate is 0 for |x| = a and negative for all t > 0
-whenever |x| < a, so the optimal dynamics is then non-Markovian at all times.
+which is 0 for |x| = a and negative for all t > 0 whenever |x| < a, so the
+optimal dynamics is then non-Markovian at all times.
 """
 
 from __future__ import annotations
@@ -170,8 +173,8 @@ def _lz(rates: CovariantRates, t: float) -> float:
     if rates.is_constant_ax:
         a, x = rates.a_const, rates.x_const
         if a == 0.0:
-            return -2.0 * x * t
-        return -(x / a) * (1.0 - np.exp(-2.0 * a * t))
+            return -2.0 * (x * t)
+        return -(x / a) * (1.0 - np.exp(-2.0 * (a * t)))
     if not 0.0 <= t < np.inf:
         raise ValueError(f"lz needs a finite time t >= 0, got {t}")
     if t == 0.0:
@@ -203,87 +206,75 @@ def _dephasing_vanishes(rates: CovariantRates) -> bool:
     return rates.is_constant_ax and abs(rates.x_const) == rates.a_const
 
 
-def _saturation_gap(rates: CovariantRates, u, lz=None):
-    """g = (1 + u)^2 - lz^2 = 4 alpha^2 of the optimal channel, u = exp(-2A).
+def _populations(rates: CovariantRates, u, lz):
+    """(m, p) = ((1 + u + lz)/2, (1 + u - lz)/2) with u = exp(-2A).
 
-    Constant (a, x) are checked against |x| <= a and, after
-    :func:`_dephasing_vanishes`, give (1 - q^2)(1 + u^2) + 2u(1 + q^2) with
-    q = x/a: only positive terms, so g > 0 even once u underflows.
+    These are the populations that |0> and |1> keep, and the optimal
+    channel has alpha = sqrt(m p).  Constant (a, x) are checked against
+    |x| <= a and, after :func:`_dephasing_vanishes`, are written in q = x/a
+    with only positive terms, m = ((1 - q) + u (1 + q))/2 and
+    p = ((1 + q) + u (1 - q))/2, so both stay positive once u underflows.
     """
     if rates.is_constant_ax:
         if abs(rates.x_const) > rates.a_const:
             raise InfeasibleRates("optimal dephasing requires |x| <= a")
         q = rates.x_const / rates.a_const
-        return (1.0 - q * q) * (1.0 + u * u) + 2.0 * u * (1.0 + q * q)
-    gap = (1.0 + u) ** 2 - lz**2
-    if gap <= 0.0:
-        raise InfeasibleRates("(1 + e^{-2A})^2 <= lz^2: no admissible dephasing")
-    return gap
-
-
-def _optimal_integral(rates: CovariantRates, big_a, lz):
-    if _dephasing_vanishes(rates):
-        return np.zeros(np.shape(big_a))
-    gap = _saturation_gap(rates, np.exp(-2.0 * big_a), lz)
-    return -0.5 * (2.0 * big_a + np.log(gap / 4.0))
+        return 0.5 * ((1.0 - q) + u * (1.0 + q)), 0.5 * ((1.0 + q) + u * (1.0 - q))
+    m, p = 0.5 * (1.0 + u + lz), 0.5 * (1.0 + u - lz)
+    if m <= 0.0 or p <= 0.0:
+        raise InfeasibleRates("1 + e^{-2A} <= |lz|: no admissible dephasing")
+    return m, p
 
 
 def optimal_dephasing_integral(rates: CovariantRates, t: float) -> float:
     """Integral F(t) of the correlation-optimal dephasing rate.
 
-    Chosen so the complete-positivity inequality
-    4 exp(-2A - 2F) + lz^2 <= (1 + exp(-2A))^2 is an equality at every time:
+    Chosen so that alpha = exp(-A - F) equals sqrt(m p) at every time, which
+    makes the complete-positivity inequality an equality:
 
-        F(t) = -[2 A(t) + log(((1 + e^{-2A})^2 - lz^2) / 4)] / 2.
+        F(t) = -A(t) - log(m p) / 2.
     """
-    return _optimal_integral(rates, _int_a(rates, t), _lz(rates, t))
+    if _dephasing_vanishes(rates):
+        return 0.0
+    big_a = _int_a(rates, t)
+    m, p = _populations(rates, np.exp(-2.0 * big_a), _lz(rates, t))
+    return -big_a - 0.5 * np.log(m * p)
 
 
 def optimal_dephasing_rate(rates: CovariantRates, t: float) -> float:
     """The unique dephasing rate minimizing correlation loss at every time.
 
     This is dF/dt of :func:`optimal_dephasing_integral`, taken analytically
-    with dA/dt = a and dlz/dt = -2 a lz - 2 x:
+    with dm/dt = a - x - 2 a m and dp/dt = a + x - 2 a p:
 
-        f = -a + [2 a u (1 + u) - 2 a lz^2 - 2 x lz] / g,
+        f = a - (a - x) / (2 m) - (a + x) / (2 p).
 
-    with u = exp(-2A) and the saturation gap g = (1 + u)^2 - lz^2.  For
-    constant (a, x) the closed form
-
-        f(t) = -a (1 - q^2) (1 - u^2) / g,
-        g = (1 - q^2) (1 + u^2) + 2 u (1 + q^2),
-
-    with q = x/a and u = exp(-2 a t), is used; it equals -a tanh(a t) for
-    x = 0, and f is exactly 0 at every time for |x| = a.  Rates with
-    |x| > a raise :class:`InfeasibleRates`.
+    It equals -a tanh(a t) for constant a and x = 0, and it is exactly 0 at
+    every time for constant |x| = a.  Rates with |x| > a raise
+    :class:`InfeasibleRates`.
     """
     if _dephasing_vanishes(rates):
         return 0.0
-    if rates.is_constant_ax:
-        a = rates.a_const
-        u = np.exp(-2.0 * a * t)
-        gap = _saturation_gap(rates, u)  # checks |x| <= a before q = x/a
-        q = rates.x_const / a
-        return -a * (1.0 - q * q) * (1.0 - u * u) / gap
     a, x = rates.a(t), rates.x(t)
-    u = np.exp(-2.0 * _int_a(rates, t))
-    lz = _lz(rates, t)
-    gap = _saturation_gap(rates, u, lz)
-    return -a + (2.0 * a * u * (1.0 + u) - 2.0 * a * lz**2 - 2.0 * x * lz) / gap
+    m, p = _populations(rates, np.exp(-2.0 * _int_a(rates, t)), _lz(rates, t))
+    return a - (a - x) / (2.0 * m) - (a + x) / (2.0 * p)
 
 
 def _coefficients(rates: CovariantRates, t):
     """(alpha, beta, shift) at time t; elementwise on an array t when every
     integral has a closed form (constant a and x, constant or optimal f)."""
     big_a = _int_a(rates, t)
-    lz = _lz(rates, t)
-    if rates.f_is_optimal:
-        int_f = _optimal_integral(rates, big_a, lz)
+    beta, lz = np.exp(-2.0 * big_a), _lz(rates, t)
+    if rates.f_is_optimal and not _dephasing_vanishes(rates):
+        m, p = _populations(rates, beta, lz)
+        alpha = np.sqrt(m * p)
+    elif rates.f_is_optimal:
+        alpha = np.exp(-big_a)
     elif rates.f_const is not None:
-        int_f = rates.f_const * t
+        alpha = np.exp(-big_a - rates.f_const * t)
     else:
-        int_f = _quad(rates.f, 0.0, t)
-    return np.exp(-big_a - int_f), np.exp(-2.0 * big_a), -lz
+        alpha = np.exp(-big_a - _quad(rates.f, 0.0, t))
+    return alpha, beta, -lz
 
 
 @dataclass(frozen=True)

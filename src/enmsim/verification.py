@@ -255,10 +255,12 @@ def check_limits(seed: int = 0) -> CheckResult:
     oracle = correlations.discord_brute_force(np.array(oracle_states))
     oracle_gaps = np.abs(oracle - np.array(oracle_discords))
     image_gaps = []  # the ball flattens onto a disk of radius sqrt(1 - q^2)/2 at -q
+    times = np.array([30.0, 1e6, 1e12])  # and stays there long after e^{-2t} underflows
     for q in (*ratios, 1.0):  # |x| = a: the disk shrinks to the point -1
-        ch = covariant.channel_at(covariant.CovariantRates.optimal(1.0, q), 30.0)
-        disk = np.array([0.5 * np.sqrt(1.0 - q * q), 0.0, -q])
-        image_gaps.append(np.abs(np.array([ch.alpha, ch.beta, -ch.shift]) - disk))
+        rates = covariant.CovariantRates.optimal(1.0, q)
+        alpha, beta, shift = covariant.channel_grid(rates, times)
+        disk = np.array([[0.5 * np.sqrt(1.0 - q * q)], [0.0], [-q]])
+        image_gaps.append(np.abs(np.array([alpha, beta, -shift]) - disk))
     return _result(
         "limits",
         ("max |I - limit|", i_gaps, 1e-4),

@@ -215,6 +215,27 @@ def test_qfi_is_zero_where_coherence_vanishes():
     assert [row["qfi"] for row in json.loads(out)] == [0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize(
+    "flags",
+    ["--a 1 --t-max 1e12 --points 2", "--a 1 --t-max 1e15 --points 2",
+     "--a 1e150 --points 3", "--t-max 1e308 --points 3"],
+)
+def test_optimal_coherence_settles_at_one_half(flags, capsys):
+    # alpha = sqrt(m p) tends to sqrt(1 - (x/a)^2)/2 = 1/2 once e^{-2at} underflows
+    assert cli.main(["coherence", *flags.split()]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert rows[0][1] == "1" and [c for _, c in rows[1:]] == ["0.5"] * (len(rows) - 1)
+
+
+def test_identity_channel_at_the_largest_rate(capsys):
+    # a t is formed before it is doubled, so t = 0 gives no inf * 0
+    assert cli.main("correlations --a 1e308 --points 2".split()) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[1] == "0,0.5,2,1,0.5,1"
+
+
 @pytest.mark.parametrize("value", ["0.5", "-0.2", "1e308"])
 @pytest.mark.parametrize("command", ["trajectory", "choi", "correlations", "coherence", "qfi"])
 def test_plain_number_expr_is_the_constant_rate(command, value, capsys):

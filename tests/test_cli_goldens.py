@@ -44,13 +44,13 @@ DIGESTS = {
     f"trajectory {_LOG_GRID} --points 10000":
         "75cddcffc8c373cb0328fa67c997a46c769d85d756ad9fa668ebbc0fb3a829d8",
     f"choi {_LOG_GRID} --points 10000":
-        "777ccc3758fe5f7373a8dcc7d439b5d2e5a74e4a28956683db098484bfa0dab4",
+        "462e72a0d5959ec6e104bf6b9ac61bda11a9aaebb290aa4038fb0fede9eb32f6",
     f"coherence {_LOG_GRID} --points 10000":
         "e9b6bff66046ae3da20eb75c36b6e7e01fca37d3a9ecc94969facc58c2cb0a3f",
     f"qfi {_LOG_GRID} --points 10000":
-        "15446d70c072568c7afa03ea59fb119e80b099e51056082850f876004cb30fda",
+        "ae990fff5c6c5ab0dc4f5fdb8061f69fcd0966b153568da6e64daf9ec11afa4b",
     f"correlations {_LOG_GRID} --points 2000":
-        "8f80b2a04a730cd53dafbaff011388b47494c447802a2a9d55224c8835775b5b",
+        "3b7e4851936636e2bc4e0a97920e1fb4857a3ffd1f9e0dfff7d535b47ba88a10",
     "spectrum --s-max 4 --points 100000":
         "c78cad878620aa277c532c0ec9159280c0272fc002f372bdb4474afa3c0465bb",
 }

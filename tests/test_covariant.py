@@ -1,3 +1,4 @@
+import decimal
 import io
 import json
 
@@ -50,6 +51,13 @@ def test_integrals_longitudinal_shift_sign():
     assert -covariant.channel_at(rates, 4.0).shift == pytest.approx(
         sol.y[0, -1], abs=1e-9
     )
+
+
+def test_identity_at_time_zero_for_the_largest_rates():
+    # a t and x t are formed before they are doubled, so t = 0 gives no -inf * 0
+    for a, x in ((1e308, 0.0), (1e308, -1e308), (0.0, 1e308)):
+        ch = covariant.channel_at(covariant.CovariantRates.from_callables(a, x, 0.0), 0.0)
+        assert (ch.alpha, ch.beta, ch.shift) == (1.0, 1.0, 0.0), (a, x)
 
 
 def test_integrals_general_rates_match_quadrature():
@@ -195,6 +203,26 @@ def test_constant_optimal_rate_matches_closed_form_reference():
                 want = _closed_form_rate(a, x, t)
             if np.isfinite(want):
                 assert abs(got - want) <= 1e-15 * a, (a, x, t)
+
+
+def _decimal_alpha(a, x, t):
+    """sqrt(m p) of the constant-rate optimal channel, to 40 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        a, x, t = decimal.Decimal(a), decimal.Decimal(x), decimal.Decimal(t)
+        u = (-2 * a * t).exp()
+        lz = -(x / a) * (1 - u)
+        return ((1 + u + lz) * (1 + u - lz) / 4).sqrt()
+
+
+def test_optimal_alpha_matches_decimal_reference():
+    times = np.linspace(0.0, 5.0, 101)
+    for a, x in ((1.0, 0.3), (1.0, 0.0), (0.97, -0.51), (1.3, 0.9)):
+        alpha, _, _ = covariant.channel_grid(covariant.CovariantRates.optimal(a, x), times)
+        for t, got in zip(times, alpha):
+            want = _decimal_alpha(a, x, t)
+            error = float(abs(decimal.Decimal(got) - want) / want)
+            assert error <= 1.5 * 2.0**-52, (a, x, t, error / 2.0**-52)
 
 
 def test_optimal_rate_value_at_one():
