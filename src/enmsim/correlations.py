@@ -94,11 +94,13 @@ def _min_conditional_entropy(t33: float, w3: float, m_eq: float) -> float:
 # Brute-force discord oracle
 # ---------------------------------------------------------------------------
 
-_ORACLE_GRID = 200  # polar and azimuth points of the golden-offset grid
-_ORACLE_BLOCK = 2000  # grid directions per block: a (4, 2 x 2000) array is below 128 KiB
+_ORACLE_GRID = 50  # polar and azimuth points of the golden-offset grid
+_ORACLE_CHUNK = 8  # states per chunk: a zoom round's (8 x 2, 4, 242) arrays are below 128 KiB
+_ORACLE_BLOCK = 5  # polar rows per grid block: (8, 4, 2 x 250) moments are below 128 KiB
 _ZOOM_POINTS = 11  # per angle in each local zoom grid
-_ZOOM_ROUNDS = 14
-_ZOOM_SHRINK = 0.3  # span factor per round
+_ZOOM_ROUNDS = 22
+_ZOOM_SHRINK = 0.3  # span factor after a round whose best is inside the zoom grid
+_ZOOM_GROW = 2.0  # span factor after a round that moved to the zoom grid's edge
 
 
 def _outcomes(directions):
@@ -144,7 +146,11 @@ def _directions(polar, azimuth):
 
 
 def _oracle_angles():
-    """Polar and azimuth angles of the 200 x 200 golden-offset grid, flattened."""
+    """Polar and azimuth angles of the 50 x 50 golden-offset grid, flattened.
+
+    The grid covers the whole sphere, polar angle first: index
+    ``i * 50 + j`` is polar row ``i`` and azimuth column ``j``.
+    """
     golden = 0.6180339887498949
     steps = np.arange(_ORACLE_GRID) + golden
     pp, aa = np.meshgrid(
@@ -153,49 +159,97 @@ def _oracle_angles():
     return pp.ravel(), aa.ravel()
 
 
+def _product_outcomes(polar, azimuth):
+    """:func:`_outcomes` of the directions at all pairs of (S, P) polar and (S, A) azimuths.
+
+    The result is ``(S, 4, 2 P A)``, the polar angle the slow index as in
+    :func:`_oracle_angles`; each sine and cosine is taken once per angle,
+    not once per pair.
+    """
+    searches, p, a = polar.shape + azimuth.shape[-1:]
+    sin_p = np.sin(polar)[:, :, None]
+    out = np.empty((searches, 4, 2, p, a))
+    out[:, 0] = 1.0
+    np.multiply(sin_p, np.cos(azimuth)[:, None, :], out=out[:, 1, 0])
+    np.multiply(sin_p, np.sin(azimuth)[:, None, :], out=out[:, 2, 0])
+    out[:, 3, 0] = np.cos(polar)[:, :, None]
+    np.negative(out[:, 1:, 0], out=out[:, 1:, 1])
+    return out.reshape(searches, 4, 2 * p * a)
+
+
+def _correlation_axes(tensor):
+    """Polar and azimuth angles of the direction n that maximizes |T n|, per state.
+
+    ``tensor`` is a (C, 4, 4) stack of Pauli tensors and T its correlation
+    block, so n is the measurement on qubit B that moves qubit A's Bloch
+    vector most.  An X state's optimal measurement lies in the plane of z
+    and n, and is often n itself, in an equatorial basin that can be
+    narrower than an azimuth spacing of the grid.
+    """
+    corr = tensor[:, 1:, 1:]
+    x, y, z = np.linalg.eigh(np.swapaxes(corr, -1, -2) @ corr)[1][:, :, -1].T
+    return np.arccos(np.clip(z, -1.0, 1.0)), np.arctan2(y, x)
+
+
 def _brute_force_conditional_entropy(rho):
     """Minimal conditional entropy over projective measurements on qubit B.
 
-    ``rho`` is a (N, 4, 4) stack.  Each state's measurement directions are
-    first sampled on a 200 x 200 polar/azimuth grid with golden-ratio
-    offsets.  The grid is scanned in blocks of ``_ORACLE_BLOCK`` directions,
-    one state at a time within a block, so every temporary stays small and
-    the whole grid is never held at once.  A block's minimum replaces a
-    state's running best only when it is strictly lower, so the first grid
-    index wins a tie.  Then all states are zoomed together: each round
-    evaluates an 11 x 11 grid around every state's best direction, with
-    spans that start at the grid spacing and shrink by a factor 0.3 per
-    round.  The running best never rises above the grid value.
+    ``rho`` is a (N, 4, 4) stack, searched in chunks of ``_ORACLE_CHUNK``
+    states so that every temporary stays below 128 KiB.  Each state's
+    measurement directions are first sampled on a 50 x 50 polar/azimuth
+    grid with golden-ratio offsets over the whole sphere, scanned in blocks
+    of ``_ORACLE_BLOCK`` polar rows; a block's minimum replaces a state's
+    running best only when it is strictly lower, so the first grid index
+    wins a tie.  Then each state is zoomed from 2 starts, its best grid
+    direction and its correlation axis (see :func:`_correlation_axes`).
+    Each of 22 rounds evaluates an 11 x 11 grid around every start's best
+    direction; its span starts at the grid spacing, shrinks by 0.3 after a
+    round whose best is inside that grid and doubles after a move to its
+    edge, so a start can walk down a valley that the coarse grid does not
+    resolve.  A start's best moves only to a strictly lower value, so the
+    first zoom index wins a tie, and the grid start never rises above its
+    grid value.  The result is the better of the 2 zooms.
     """
     tensor = qstate.pauli_tensor(rho)
     pp, aa = _oracle_angles()
-    rows = np.arange(len(rho))
-    best_k = np.zeros(len(rho), dtype=int)
-    best = np.full(len(rho), np.inf)
-    for start in range(0, len(pp), _ORACLE_BLOCK):
-        block = slice(start, start + _ORACLE_BLOCK)
-        outcomes = _outcomes(_directions(pp[block], aa[block]))
-        for n in rows:
-            values = _measured_entropy(tensor[n], outcomes)
-            k = np.argmin(values)
-            if values[k] < best[n]:
-                best[n], best_k[n] = values[k], start + k
-    polar, azimuth = pp[best_k], aa[best_k]
+    block = _ORACLE_BLOCK * _ORACLE_GRID
+    outcomes = [
+        _outcomes(_directions(pp[k : k + block], aa[k : k + block]))
+        for k in range(0, len(pp), block)
+    ]
     offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
-    dp, da = (g.ravel() for g in np.meshgrid(offsets, offsets, indexing="ij"))
-    span_p, span_a = np.pi / _ORACLE_GRID, 2.0 * np.pi / _ORACLE_GRID
-    for _ in range(_ZOOM_ROUNDS):
-        local_p = polar[:, None] + span_p * dp
-        local_a = azimuth[:, None] + span_a * da
-        values = _measured_entropy(tensor, _outcomes(_directions(local_p, local_a)))
-        k = np.argmin(values, axis=-1)
-        better = values[rows, k] < best
-        best = np.where(better, values[rows, k], best)
-        polar = np.where(better, local_p[rows, k], polar)
-        azimuth = np.where(better, local_a[rows, k], azimuth)
-        span_p *= _ZOOM_SHRINK
-        span_a *= _ZOOM_SHRINK
-    return best
+    result = np.empty(len(rho))
+    for first in range(0, len(rho), _ORACLE_CHUNK):
+        chunk = tensor[first : first + _ORACLE_CHUNK]
+        states = np.arange(len(chunk))
+        grid_best, grid_k = np.full(len(chunk), np.inf), np.zeros(len(chunk), dtype=int)
+        for start, block_outcomes in zip(range(0, len(pp), block), outcomes):
+            values = _measured_entropy(chunk, block_outcomes)
+            k = np.argmin(values, axis=-1)
+            lower = values[states, k] < grid_best  # strictly: the first grid index wins a tie
+            grid_best = np.where(lower, values[states, k], grid_best)
+            grid_k = np.where(lower, start + k, grid_k)
+        axis_p, axis_a = _correlation_axes(chunk)
+        polar = np.column_stack([pp[grid_k], axis_p]).ravel()
+        azimuth = np.column_stack([aa[grid_k], axis_a]).ravel()
+        best = np.column_stack([grid_best, np.full(len(chunk), np.inf)]).ravel()
+        tensors = np.repeat(chunk, 2, axis=0)  # one per start
+        searches = np.arange(len(best))
+        span = np.ones(len(best))  # in grid spacings
+        for _ in range(_ZOOM_ROUNDS):
+            local_p = polar[:, None] + (np.pi / _ORACLE_GRID) * span[:, None] * offsets
+            local_a = azimuth[:, None] + (2.0 * np.pi / _ORACLE_GRID) * span[:, None] * offsets
+            local = _measured_entropy(tensors, _product_outcomes(local_p, local_a))
+            k = np.argmin(local, axis=-1)
+            row, col = divmod(k, _ZOOM_POINTS)
+            better = local[searches, k] < best
+            best = np.where(better, local[searches, k], best)
+            polar = np.where(better, local_p[searches, row], polar)
+            azimuth = np.where(better, local_a[searches, col], azimuth)
+            edge = (np.minimum(row, col) == 0) | (np.maximum(row, col) == _ZOOM_POINTS - 1)
+            span = span * np.where(better & edge, _ZOOM_GROW, _ZOOM_SHRINK)
+        result[first : first + _ORACLE_CHUNK] = best.reshape(len(chunk), 2).min(axis=-1)
+    return result
 
 
 def discord_brute_force(rho):

@@ -40,8 +40,11 @@ from .errors import (
 
 HERMITICITY_TOL = 1e-12
 CONDITION_LIMIT = 1e12
+MAP_LIMIT = 1e12  # largest |entry| of a propagated map; a channel's stay within 1
 
 _ROTATION_Z = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+# xi = (Im gamma_12 - Im gamma_21, Im gamma_20 - Im gamma_02, Im gamma_01 - Im gamma_10)
+_XI_ROWS, _XI_COLS = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 @dataclass(frozen=True)
@@ -81,16 +84,11 @@ def bloch_generator(gamma) -> tuple[np.ndarray, np.ndarray]:
     taken to be Hermitian: :meth:`DecoherenceMatrix.at` checks it.
     """
     gamma = np.asarray(gamma, dtype=complex)
-    sym = 0.5 * (gamma + gamma.T)
-    drift = sym.real - np.trace(gamma).real * np.eye(3)
-    xi = np.array(
-        [
-            (1j * (gamma[2, 1] - gamma[1, 2])).real,
-            (1j * (gamma[0, 2] - gamma[2, 0])).real,
-            (1j * (gamma[1, 0] - gamma[0, 1])).real,
-        ]
-    )
-    return drift, xi
+    re, im = gamma.real, gamma.imag
+    drift = re + re.T
+    drift *= 0.5
+    drift.reshape(9)[::4] -= re.trace()  # the diagonal, in place
+    return drift, (im - im.T)[_XI_ROWS, _XI_COLS]
 
 
 @dataclass(frozen=True)
@@ -112,12 +110,14 @@ class PropagatedMap:
 def propagate(gen: DecoherenceMatrix, grid: Sequence[float], r0=None) -> PropagatedMap:
     """Integrate the full affine Bloch map of the dynamics along ``grid``.
 
-    The 12 unknowns (M_t columns and v_t) are integrated jointly with an
-    adaptive 4th/5th order Runge-Kutta scheme (rtol 1e-10, atol 1e-12) up to
-    the last grid time.  ``grid`` fixes the output times (strictly
+    The 12 unknowns (M_t columns and v_t) are integrated jointly with the
+    adaptive 8th order Dormand-Prince scheme DOP853 (rtol 1e-10, atol 1e-12)
+    up to the last grid time.  ``grid`` fixes the output times (strictly
     ascending and nonnegative; 0 is prepended if missing).  If ``r0`` is
     given the trajectory of that initial Bloch vector is attached to the
-    result.
+    result.  The solve stops with :class:`IntegratorDiverged` when it fails
+    or when an entry of the map exceeds ``MAP_LIMIT``: a channel's Bloch
+    map has no entry above 1, so such a map has left the channels for good.
     """
     from scipy.integrate import solve_ivp
 
@@ -130,15 +130,20 @@ def propagate(gen: DecoherenceMatrix, grid: Sequence[float], r0=None) -> Propaga
         times = np.concatenate([[0.0], times])
     t_final = float(times[-1])
     omega = gen.hamiltonian_rate
+    rotation = omega * _ROTATION_Z
 
     def rhs(t, y):
         drift, xi = bloch_generator(gen.at(t))
         if omega != 0.0:
-            drift = drift + omega * _ROTATION_Z
+            drift += rotation
         m = y[:9].reshape(3, 3)
         v = y[9:]
         return np.concatenate([(drift @ m).ravel(), drift @ v + xi])
 
+    def blowup(t, y):
+        return np.abs(y).max() - MAP_LIMIT
+
+    blowup.terminal = True
     y0 = np.concatenate([np.eye(3).ravel(), np.zeros(3)])
     if t_final == 0.0:
         sol_y = y0[:, None]
@@ -147,14 +152,18 @@ def propagate(gen: DecoherenceMatrix, grid: Sequence[float], r0=None) -> Propaga
             rhs,
             (0.0, t_final),
             y0,
-            method="RK45",
+            method="DOP853",
             rtol=1e-10,
             atol=1e-12,
             t_eval=times,
+            events=blowup,
             dense_output=False,
         )
         if not sol.success:
             raise IntegratorDiverged(sol.message)
+        if sol.status == 1:
+            t_blowup = sol.t_events[0][0]
+            raise IntegratorDiverged(f"a map entry exceeds {MAP_LIMIT:g} at t = {t_blowup:.6g}")
         sol_y = sol.y
     matrices = sol_y[:9].T.reshape(-1, 3, 3)
     shifts = sol_y[9:].T.copy()

@@ -241,6 +241,65 @@ def test_discord_oracle_finds_interior_optima():
     assert np.all(oracle <= dense + 1e-12), oracle - dense
 
 
+def _low_rank_density(rng, rank):
+    kets = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = kets @ kets.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_discord_oracle_matches_a_dense_grid_on_a_mixed_bank():
+    rng = np.random.default_rng(8123)
+    bank = [random_x_state_mixed_marginal(rng) for _ in range(3)]
+    bank += [random_density(rng, 4) for _ in range(2)]
+    bank += [_low_rank_density(rng, rank) for rank in (1, 2)]
+    for _ in range(2):  # Ginibre states sent through a covariant channel on qubit A
+        matrix, shift = random_covariant_channel(rng)
+        bank.append(lindblad.apply_to_first_qubit(random_density(rng, 4), matrix, shift))
+    bank = np.array(bank)
+    oracle = correlations.discord_brute_force(bank)
+    dense = _dense_grid_discords(bank)
+    assert np.all(oracle <= dense + 1e-12), oracle - dense
+
+
+def test_discord_oracle_reaches_optima_away_from_its_best_grid_points():
+    # The pole basins of these X states have four grid copies each (n and
+    # -n, and the azimuth turned by pi), all below the grid values near the
+    # equatorial optimum; in the second, that optimum's basin is narrower
+    # than an azimuth spacing and holds no grid-local minimum.  Zooms from
+    # the lowest grid minima alone missed them by 2.3e-4 and 1.7e-5.
+    for seed, index in ((400, 45), (704046, 74)):
+        rng = np.random.default_rng(seed)
+        x_state = [random_x_state_mixed_marginal(rng) for _ in range(index + 1)][-1]
+        assert correlations.discord_brute_force(x_state) == pytest.approx(
+            correlations.xstate_discord(x_state), abs=1e-12
+        )
+    # This rank-2 state's optimum lies down a valley, farther than the
+    # shrinking zoom spans reach from its lowest grid point (4.4e-7 short).
+    kets = np.array(
+        [
+            [1.866 + 0.188j, -0.886 + 0.115j],
+            [0.628 - 1.395j, -0.562 + 1.155j],
+            [0.492 + 0.870j, -0.021 + 1.698j],
+            [0.139 - 0.129j, 1.054 + 0.722j],
+        ]
+    )
+    valley = kets @ kets.conj().T
+    valley /= np.trace(valley).real
+    from scipy.optimize import minimize
+
+    def entropy(angles):
+        polar, azimuth = angles
+        n = [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)]
+        return _projector_conditional_entropies(valley, np.array([n]))[0]
+
+    floor = minimize(
+        entropy, [0.83, 1.9], method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-16}
+    ).fun
+    s_a = qstate.von_neumann_entropy(qstate.partial_trace(valley, "B"))
+    reference = correlations.mutual_information(valley) - s_a + floor
+    assert correlations.discord_brute_force(valley) <= reference + 1e-12
+
+
 def test_xstate_discord_stack_equals_single_states():
     rng = np.random.default_rng(4)
     bank = np.array([random_x_state_mixed_marginal(rng) for _ in range(100)])

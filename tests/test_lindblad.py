@@ -47,6 +47,27 @@ def test_generator_covariant_longitudinal_sign():
     np.testing.assert_allclose(rdot, expected, atol=1e-12)
 
 
+def test_generator_equals_the_trace_times_identity_formula():
+    # the drift subtracts the trace on its diagonal, which must equal the
+    # textbook gamma_S - tr(gamma) 1 bit for bit
+    rng = np.random.default_rng(61)
+    for scale in np.geomspace(1e-6, 1e6, 40):
+        g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        gamma = scale * (g + g.conj().T) / 2.0
+        sym = 0.5 * (gamma + gamma.T)
+        drift_formula = sym.real - np.trace(gamma).real * np.eye(3)
+        xi_formula = np.array(
+            [
+                (1j * (gamma[2, 1] - gamma[1, 2])).real,
+                (1j * (gamma[0, 2] - gamma[2, 0])).real,
+                (1j * (gamma[1, 0] - gamma[0, 1])).real,
+            ]
+        )
+        drift, xi = lindblad.bloch_generator(gamma)
+        assert np.array_equal(drift, drift_formula)
+        assert np.array_equal(xi, xi_formula)
+
+
 def test_generator_rejects_non_hermitian():
     crooked = lindblad.DecoherenceMatrix.constant([[0, 1, 0], [0, 0, 0], [0, 0, 0.0]])
     with pytest.raises(NonHermitianGamma):
@@ -179,6 +200,29 @@ def test_propagate_diverging_generator():
     )
     with pytest.raises(IntegratorDiverged):
         lindblad.propagate(blow, grid=[0.5, 2.0])
+
+
+def test_propagate_stops_a_blowup_at_the_map_limit():
+    from enmsim.errors import IntegratorDiverged
+
+    calls = []
+
+    def gamma(t):
+        calls.append(t)
+        return (-1.0 / max(1e-300, 1.0 - t)) * np.eye(3, dtype=complex)
+
+    # the map grows like (1 - t)^-2; the solve stops once an entry passes
+    # the limit, long before its step size collapses at t = 1
+    with pytest.raises(IntegratorDiverged, match="exceeds 1e\\+12"):
+        lindblad.propagate(lindblad.DecoherenceMatrix(gamma=gamma), grid=[0.5, 2.0])
+    assert len(calls) < 5000
+    # a non-CP map below the limit still propagates: negative isotropic
+    # rates -c scale the Bloch ball by e^(2ct)
+    growing = lindblad.DecoherenceMatrix.constant(-np.eye(3))
+    pm = lindblad.propagate(growing, grid=[1.0, 13.0])
+    assert pm.matrices[-1] == pytest.approx(np.exp(26.0) * np.eye(3), rel=1e-8)
+    with pytest.raises(IntegratorDiverged, match="exceeds"):
+        lindblad.propagate(growing, grid=[1.0, 14.0])
 
 
 def test_propagate_rejects_non_hermitian_gamma():
