@@ -109,9 +109,12 @@ def _outcomes(directions):
     ``directions`` is ``(..., 3, K)``; the result is ``(..., 4, 2K)``, the
     ``+n`` outcomes first.
     """
-    signed = np.concatenate([directions, -directions], axis=-1)
-    ones = np.ones(signed.shape[:-2] + (1, signed.shape[-1]))
-    return np.concatenate([ones, signed], axis=-2)
+    k = directions.shape[-1]
+    out = np.empty(directions.shape[:-2] + (4, 2 * k))
+    out[..., 0, :] = 1.0
+    out[..., 1:, :k] = directions
+    np.negative(directions, out=out[..., 1:, k:])
+    return out
 
 
 def _measured_entropy(tensor, outcomes):
@@ -138,43 +141,29 @@ def _measured_entropy(tensor, outcomes):
 
 
 def _directions(polar, azimuth):
-    """Unit vectors (..., 3, K) at the given polar and azimuth angles."""
-    return np.stack(
-        [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)],
-        axis=-2,
-    )
+    """Unit vectors (..., 3, P A) at all pairs of (..., P) polar and (..., A) azimuths.
+
+    The polar angle is the slow index: column ``i * A + j`` is polar ``i``
+    and azimuth ``j``.  Each sine and cosine is taken once per angle, not
+    once per pair.
+    """
+    lead = np.broadcast_shapes(polar.shape[:-1], azimuth.shape[:-1])
+    out = np.empty(lead + (3, polar.shape[-1], azimuth.shape[-1]))
+    sin_p = np.sin(polar)[..., :, None]
+    np.multiply(sin_p, np.cos(azimuth)[..., None, :], out=out[..., 0, :, :])
+    np.multiply(sin_p, np.sin(azimuth)[..., None, :], out=out[..., 1, :, :])
+    out[..., 2, :, :] = np.cos(polar)[..., :, None]
+    return out.reshape(lead + (3, -1))
 
 
 def _oracle_angles():
-    """Polar and azimuth angles of the 50 x 50 golden-offset grid, flattened.
+    """Polar and azimuth angles of the 50 x 50 golden-offset grid.
 
-    The grid covers the whole sphere, polar angle first: index
-    ``i * 50 + j`` is polar row ``i`` and azimuth column ``j``.
+    The grid covers the whole sphere; :func:`_directions` of the two axes
+    has polar row ``i`` and azimuth column ``j`` at index ``i * 50 + j``.
     """
-    golden = 0.6180339887498949
-    steps = np.arange(_ORACLE_GRID) + golden
-    pp, aa = np.meshgrid(
-        np.pi * steps / _ORACLE_GRID, 2.0 * np.pi * steps / _ORACLE_GRID, indexing="ij"
-    )
-    return pp.ravel(), aa.ravel()
-
-
-def _product_outcomes(polar, azimuth):
-    """:func:`_outcomes` of the directions at all pairs of (S, P) polar and (S, A) azimuths.
-
-    The result is ``(S, 4, 2 P A)``, the polar angle the slow index as in
-    :func:`_oracle_angles`; each sine and cosine is taken once per angle,
-    not once per pair.
-    """
-    searches, p, a = polar.shape + azimuth.shape[-1:]
-    sin_p = np.sin(polar)[:, :, None]
-    out = np.empty((searches, 4, 2, p, a))
-    out[:, 0] = 1.0
-    np.multiply(sin_p, np.cos(azimuth)[:, None, :], out=out[:, 1, 0])
-    np.multiply(sin_p, np.sin(azimuth)[:, None, :], out=out[:, 2, 0])
-    out[:, 3, 0] = np.cos(polar)[:, :, None]
-    np.negative(out[:, 1:, 0], out=out[:, 1:, 1])
-    return out.reshape(searches, 4, 2 * p * a)
+    steps = np.arange(_ORACLE_GRID) + 0.6180339887498949  # golden-ratio offset
+    return np.pi * steps / _ORACLE_GRID, 2.0 * np.pi * steps / _ORACLE_GRID
 
 
 def _correlation_axes(tensor):
@@ -211,11 +200,11 @@ def _brute_force_conditional_entropy(rho):
     grid value.  The result is the better of the 2 zooms.
     """
     tensor = qstate.pauli_tensor(rho)
-    pp, aa = _oracle_angles()
+    grid_p, grid_a = _oracle_angles()
     block = _ORACLE_BLOCK * _ORACLE_GRID
     outcomes = [
-        _outcomes(_directions(pp[k : k + block], aa[k : k + block]))
-        for k in range(0, len(pp), block)
+        _outcomes(_directions(grid_p[r : r + _ORACLE_BLOCK], grid_a))
+        for r in range(0, _ORACLE_GRID, _ORACLE_BLOCK)
     ]
     offsets = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
     result = np.empty(len(rho))
@@ -223,15 +212,16 @@ def _brute_force_conditional_entropy(rho):
         chunk = tensor[first : first + _ORACLE_CHUNK]
         states = np.arange(len(chunk))
         grid_best, grid_k = np.full(len(chunk), np.inf), np.zeros(len(chunk), dtype=int)
-        for start, block_outcomes in zip(range(0, len(pp), block), outcomes):
+        for start, block_outcomes in zip(range(0, _ORACLE_GRID**2, block), outcomes):
             values = _measured_entropy(chunk, block_outcomes)
             k = np.argmin(values, axis=-1)
             lower = values[states, k] < grid_best  # strictly: the first grid index wins a tie
             grid_best = np.where(lower, values[states, k], grid_best)
             grid_k = np.where(lower, start + k, grid_k)
         axis_p, axis_a = _correlation_axes(chunk)
-        polar = np.column_stack([pp[grid_k], axis_p]).ravel()
-        azimuth = np.column_stack([aa[grid_k], axis_a]).ravel()
+        row, col = divmod(grid_k, _ORACLE_GRID)
+        polar = np.column_stack([grid_p[row], axis_p]).ravel()
+        azimuth = np.column_stack([grid_a[col], axis_a]).ravel()
         best = np.column_stack([grid_best, np.full(len(chunk), np.inf)]).ravel()
         tensors = np.repeat(chunk, 2, axis=0)  # one per start
         searches = np.arange(len(best))
@@ -239,7 +229,7 @@ def _brute_force_conditional_entropy(rho):
         for _ in range(_ZOOM_ROUNDS):
             local_p = polar[:, None] + (np.pi / _ORACLE_GRID) * span[:, None] * offsets
             local_a = azimuth[:, None] + (2.0 * np.pi / _ORACLE_GRID) * span[:, None] * offsets
-            local = _measured_entropy(tensors, _product_outcomes(local_p, local_a))
+            local = _measured_entropy(tensors, _outcomes(_directions(local_p, local_a)))
             k = np.argmin(local, axis=-1)
             row, col = divmod(k, _ZOOM_POINTS)
             better = local[searches, k] < best

@@ -194,28 +194,23 @@ def test_choi_of_map_operator_basis_oracle():
 def test_propagate_diverging_generator():
     from enmsim.errors import IntegratorDiverged
 
-    # negative isotropic rates with a finite-time blowup of the map
-    blow = lindblad.DecoherenceMatrix(
-        gamma=lambda t: (-1.0 / max(1e-300, 1.0 - t)) * np.eye(3, dtype=complex)
-    )
-    with pytest.raises(IntegratorDiverged):
-        lindblad.propagate(blow, grid=[0.5, 2.0])
-
-
-def test_propagate_stops_a_blowup_at_the_map_limit():
-    from enmsim.errors import IntegratorDiverged
-
     calls = []
 
     def gamma(t):
         calls.append(t)
         return (-1.0 / max(1e-300, 1.0 - t)) * np.eye(3, dtype=complex)
 
-    # the map grows like (1 - t)^-2; the solve stops once an entry passes
-    # the limit, long before its step size collapses at t = 1
+    # negative isotropic rates with a finite-time blowup of the map, which
+    # grows like (1 - t)^-2; the solve stops once an entry passes the
+    # limit, long before its step size collapses at t = 1
     with pytest.raises(IntegratorDiverged, match="exceeds 1e\\+12"):
         lindblad.propagate(lindblad.DecoherenceMatrix(gamma=gamma), grid=[0.5, 2.0])
     assert len(calls) < 5000
+
+
+def test_propagate_stops_a_blowup_at_the_map_limit():
+    from enmsim.errors import IntegratorDiverged
+
     # a non-CP map below the limit still propagates: negative isotropic
     # rates -c scale the Bloch ball by e^(2ct)
     growing = lindblad.DecoherenceMatrix.constant(-np.eye(3))
