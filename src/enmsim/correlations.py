@@ -76,11 +76,19 @@ def _min_conditional_entropy(t33: float, w3: float, m_eq: float) -> float:
     """Least conditional entropy over the candidate measurements and a polish.
 
     A bounded one-dimensional search over the polar angle guards against
-    the rare X states whose optimum is at an interior angle.
+    the rare X states whose optimum is at an interior angle.  It cannot win
+    when ``w3`` is exactly 0, so it is skipped there.  Both outcomes then
+    have probability exactly 1/2, and the entropy is ``h((1 + min(L, 1))/2)``
+    with ``L^2 = t33^2 + (m_eq^2 - t33^2) sin^2(polar)``.  ``L^2`` is
+    monotone in ``sin^2(polar)``, which runs over [0, 1], and ``h`` falls as
+    ``L`` grows, so the least entropy sits at ``sin^2(polar)`` = 0 or 1: the
+    candidates 0 and pi/2.
     """
+    best = min(_conditional_entropy(t33, w3, m_eq, polar) for polar in _CANDIDATE_POLARS)
+    if w3 == 0.0:
+        return best
     from scipy.optimize import minimize_scalar
 
-    best = min(_conditional_entropy(t33, w3, m_eq, polar) for polar in _CANDIDATE_POLARS)
     res = minimize_scalar(
         lambda polar: _conditional_entropy(t33, w3, m_eq, polar),
         bounds=(0.0, np.pi / 2.0),
@@ -262,7 +270,10 @@ def xstate_discord(rho):
 
     The measurement is on qubit B, and the first marginal must be maximally
     mixed: a matrix with entries outside the X pattern, a trace other than
-    one or a biased first marginal raises :class:`NotXState`.
+    one or a biased first marginal raises :class:`NotXState`.  Each state
+    takes the best of the candidate polar angles; only a state whose second
+    qubit has a Bloch z component ``w3`` other than 0 also runs the angle
+    polish (see :func:`_min_conditional_entropy`) and imports scipy.
     """
     rho = qstate.finite_states(rho)
     if np.any(np.abs(rho[..., ~_X_PATTERN]) > X_SHAPE_TOL):

@@ -342,3 +342,7 @@ def test_correlations_loads_no_quadrature_or_ode():
     codes, loaded = _cold_start(["correlations --a 1 --x 0 --f optimal --t-max 3 --points 50"])
     assert codes == [0]
     assert "scipy.integrate" not in loaded
+    assert loaded == []  # at x = 0 every state skips the discord's polish
+    codes, loaded = _cold_start(["correlations --a 1 --x 0.4 --f optimal --t-max 3 --points 50"])
+    assert codes == [0]
+    assert "scipy.integrate" not in loaded

@@ -5,6 +5,7 @@ import pytest
 
 from enmsim import correlations, covariant, lindblad, qstate
 from enmsim.errors import NotAState, NotXState
+from enmsim.expressions import compile_rate_expression
 from enmsim.verification import (
     random_covariant_channel,
     random_density,
@@ -128,11 +129,52 @@ def test_discord_refuses_biased_marginal():
         correlations.xstate_discord(rho)
 
 
+def _unbiased_x_states(rng, count):
+    """Random X states with a maximally mixed first marginal and d1 + d3 = 1/2.
+
+    The diagonal is (u, 1/2 - u, 1/2 - u, u) with a dyadic u, so qubit B's
+    Bloch z component d1 - d2 + d3 - d4 is exactly 0.  A quarter of the
+    coherences sit at their positivity bound and a quarter at 0.
+    """
+    d1 = rng.integers(0, 2**20, count) / 2**21
+    d2 = 0.5 - d1
+    scale = rng.uniform(size=(2, count))
+    scale[:, ::4], scale[:, 1::4] = 0.0, 1.0
+    phase = np.exp(2j * np.pi * rng.uniform(size=(2, count)))
+    rho = np.zeros((count, 4, 4), dtype=complex)
+    rho[:, [0, 1, 2, 3], [0, 1, 2, 3]] = np.column_stack([d1, d2, d2, d1])
+    rho[:, 0, 3] = scale[0] * d1 * phase[0]  # |rho14| <= sqrt(d1 d4) = d1
+    rho[:, 1, 2] = scale[1] * d2 * phase[1]  # |rho23| <= sqrt(d2 d3) = d2
+    rho[:, 3, 0], rho[:, 2, 1] = np.conj(rho[:, 0, 3]), np.conj(rho[:, 1, 2])
+    return rho
+
+
+def _x0_choi_stacks():
+    """Choi stacks of x = 0 channels with constant, optimal and expression f."""
+    times = np.concatenate([[0.0], np.geomspace(1e-3, 40.0, 32)])
+    return [
+        covariant.choi_states(*covariant.channel_grid(rates, times))
+        for rates in (
+            covariant.CovariantRates.from_callables(1.0, 0.0, 0.3),
+            covariant.CovariantRates.optimal(1.0, 0.0),
+            covariant.CovariantRates.optimal(2.5, 0.0),
+            covariant.CovariantRates.from_callables(
+                1.0, 0.0, compile_rate_expression("0.4*exp(-t) - 0.1")
+            ),
+        )
+    ]
+
+
+def _unbiased_stacks():
+    return [_unbiased_x_states(np.random.default_rng(29), 120), *_x0_choi_stacks()]
+
+
 def test_discord_candidates_match_oracle():
     rng = np.random.default_rng(3)
     states = np.array([random_x_state_mixed_marginal(rng) for _ in range(25)])
-    fast = correlations.xstate_discord(states)
-    assert fast == pytest.approx(correlations.discord_brute_force(states), abs=1e-5)
+    for stack in (states, *_unbiased_stacks()):
+        fast = correlations.xstate_discord(stack)
+        assert fast == pytest.approx(correlations.discord_brute_force(stack), abs=1e-5)
 
 
 def test_discord_oracle_stack_equals_single_states():
@@ -321,6 +363,41 @@ def test_xstate_discord_stack_equals_single_states():
     nested = np.array(chois)  # a (3, T, 4, 4) stack
     expected = [correlations.xstate_discord(stack) for stack in chois]
     assert np.array_equal(correlations.xstate_discord(nested), expected)
+
+
+def test_unbiased_discord_is_the_least_over_a_polar_grid():
+    polars = np.linspace(0.0, np.pi / 2.0, 1025)
+    for stack in _unbiased_stacks():
+        d1, d2, d3, d4 = np.real(np.diagonal(stack, axis1=-2, axis2=-1)).T
+        t33, w3 = d1 - d2 - d3 + d4, d1 - d2 + d3 - d4
+        m_eq = 2.0 * (np.abs(stack[:, 0, 3]) + np.abs(stack[:, 1, 2]))
+        assert np.all(w3 == 0.0)
+        grid_min = np.array(
+            [
+                min(correlations._conditional_entropy(*args, polar) for polar in polars)
+                for args in zip(t33, w3, m_eq)
+            ]
+        )
+        grid_discord = np.maximum(
+            correlations.mutual_information(stack) - (1.0 - grid_min), 0.0
+        )
+        gap = correlations.xstate_discord(stack) - grid_discord
+        assert np.all(gap <= 1e-15), gap.max()
+
+
+def test_unbiased_discord_runs_no_polish(monkeypatch):
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("polish called")
+
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar", refuse)
+    t0_row = covariant.choi_state(covariant.CovariantRates.optimal(1.0, 0.4), 0.0)
+    for stack in (*_unbiased_stacks(), t0_row):
+        assert np.all(np.isfinite(correlations.xstate_discord(stack)))
+    biased = covariant.choi_state(covariant.CovariantRates.optimal(1.0, 0.4), 1.0)
+    with pytest.raises(AssertionError, match="polish called"):
+        correlations.xstate_discord(biased)
 
 
 def test_geometric_discord_examples():

@@ -59,6 +59,26 @@ def test_dominance_fails_on_nan_mutual_information(monkeypatch):
     assert np.isnan(result.claims[0][1])
 
 
+def test_limits_fails_on_nan_mutual_information(monkeypatch):
+    mutual_information = correlations.mutual_information
+    calls = []
+
+    def nan_after_first(rho):
+        calls.append(rho)
+        return mutual_information(rho) if len(calls) == 1 else np.nan
+
+    monkeypatch.setattr(correlations, "mutual_information", nan_after_first)
+    result = verification.check_limits()
+    assert len(calls) > 1
+    assert not result.passed, result.detail
+
+
+def test_limits_fails_on_nan_discord(monkeypatch):
+    monkeypatch.setattr(correlations, "xstate_discord", lambda rho: np.nan)
+    result = verification.check_limits()
+    assert not result.passed, result.detail
+
+
 def test_roundtrip_fails_on_nan_bloch_vectors(monkeypatch):
     density_to_bloch = qstate.density_to_bloch
 
