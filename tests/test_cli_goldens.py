@@ -1,4 +1,5 @@
-"""Byte-exact CLI goldens: the README tables and the time-dependent expr rate.
+"""Byte-exact CLI goldens: the README tables, the time-dependent expr rate and
+the ``verify`` report at two seeds.
 
 Each file under ``goldens/`` is the stdout of the invocation named beside it.
 The files were written once from the CLI and must only change together with
@@ -27,6 +28,8 @@ GOLDENS = {
     "choi-expr.csv": "choi --f expr:-0.9*tanh(t)",
     "correlations-expr.csv": "correlations --f expr:-0.9*tanh(t)",
     "coherence-expr.csv": "coherence --f expr:-0.9*tanh(t)",
+    "verify-seed0.txt": "verify --suite all --seed 0",
+    "verify-seed7.txt": "verify --suite all --seed 7",
 }
 
 
