@@ -262,7 +262,14 @@ def optimal_dephasing_rate(rates: CovariantRates, t: float) -> float:
 
 def _coefficients(rates: CovariantRates, t):
     """(alpha, beta, shift) at time t; elementwise on an array t when every
-    integral has a closed form (constant a and x, constant or optimal f)."""
+    integral has a closed form (constant a and x, constant or optimal f).
+    Every rate kind refuses a negative or non-finite time, which has no channel."""
+    if isinstance(t, np.ndarray):
+        valid = np.all((0.0 <= t) & (t < np.inf))
+    else:  # a per-time caller pays one float comparison, not a numpy reduction
+        valid = 0.0 <= t < np.inf
+    if not valid:
+        raise ValueError("channel times must be finite and >= 0")
     big_a = _int_a(rates, t)
     beta, lz = np.exp(-2.0 * big_a), _lz(rates, t)
     if rates.f_is_optimal and not _dephasing_vanishes(rates):
@@ -289,14 +296,6 @@ class CovariantChannelAt:
     beta: float
     shift: float
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag([self.alpha, self.alpha, self.beta])
-
-    @property
-    def shift_vector(self) -> np.ndarray:
-        return np.array([0.0, 0.0, -self.shift])
-
 
 def channel_at(rates: CovariantRates, t: float) -> CovariantChannelAt:
     """Contraction coefficients (alpha, beta) and longitudinal shift at t."""
@@ -308,8 +307,7 @@ def channel_grid(rates: CovariantRates, times) -> tuple[np.ndarray, np.ndarray, 
     """Arrays (alpha, beta, shift) of the channel at every time of a grid.
 
     Closed forms run once on the whole array; a rate without one (a
-    callable a, x or non-optimal f) is integrated time by time, each
-    value equal to :func:`channel_at` at that time.
+    callable a, x or non-optimal f) is integrated time by time.
     """
     times = np.asarray(times, dtype=float)
     if rates.is_constant_ax and (rates.f_is_optimal or rates.f_const is not None):
@@ -332,6 +330,18 @@ def cptp_conditions(alpha, beta, shift):
     return beta + np.abs(shift) <= 1.0 + CPTP_TOL, slack >= -CPTP_TOL, slack
 
 
+def bloch_maps(alpha, beta, shift) -> tuple[np.ndarray, np.ndarray]:
+    """Affine Bloch maps (diag(alpha, alpha, beta), (0, 0, -shift)) of covariant
+    channels, stacked along the coefficients' shape: (..., 3, 3) and (..., 3)."""
+    shape = np.shape(alpha)
+    matrix = np.zeros(shape + (3, 3))
+    matrix[..., 0, 0] = matrix[..., 1, 1] = alpha
+    matrix[..., 2, 2] = beta
+    shift_vector = np.zeros(shape + (3,))
+    shift_vector[..., 2] = -np.asarray(shift)
+    return matrix, shift_vector
+
+
 def choi_states(alpha, beta, shift) -> np.ndarray:
     """Choi matrices of covariant channels, stacked along the coefficients' shape.
 
@@ -344,13 +354,7 @@ def choi_states(alpha, beta, shift) -> np.ndarray:
 
     which is positive semidefinite exactly when the CPTP conditions hold.
     """
-    shape = np.shape(alpha)
-    matrix = np.zeros(shape + (3, 3))
-    matrix[..., 0, 0] = matrix[..., 1, 1] = alpha
-    matrix[..., 2, 2] = beta
-    shift_vector = np.zeros(shape + (3,))
-    shift_vector[..., 2] = -np.asarray(shift)
-    return lindblad.choi_of_map(matrix, shift_vector)
+    return lindblad.choi_of_map(*bloch_maps(alpha, beta, shift))
 
 
 def choi_state(rates: CovariantRates, t: float) -> np.ndarray:

@@ -102,7 +102,8 @@ class PropagatedMap:
 
     def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)):
+        # a NaN t fails the comparison, and an infinite one is on no grid
+        if not (np.isfinite(t) and abs(self.times[idx] - t) <= 1e-9 * max(1.0, abs(t))):
             raise ValueError(f"time {t} is not on the propagation grid")
         return self.matrices[idx], self.shifts[idx]
 
@@ -113,7 +114,7 @@ def propagate(gen: DecoherenceMatrix, grid: Sequence[float], r0=None) -> Propaga
     The 12 unknowns (M_t columns and v_t) are integrated jointly with the
     adaptive 8th order Dormand-Prince scheme DOP853 (rtol 1e-10, atol 1e-12)
     up to the last grid time.  ``grid`` fixes the output times (strictly
-    ascending and nonnegative; 0 is prepended if missing).  If ``r0`` is
+    ascending, finite and nonnegative; 0 is prepended if missing).  If ``r0`` is
     given the trajectory of that initial Bloch vector is attached to the
     result.  The solve stops with :class:`IntegratorDiverged` when it fails
     or when an entry of the map exceeds ``MAP_LIMIT``: a channel's Bloch
@@ -124,8 +125,8 @@ def propagate(gen: DecoherenceMatrix, grid: Sequence[float], r0=None) -> Propaga
     times = np.asarray(grid, dtype=float)
     if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
         raise ValueError("grid must be strictly ascending")
-    if times[0] < 0:
-        raise ValueError("grid times must be nonnegative")
+    if not np.all(np.isfinite(times)) or times[0] < 0:
+        raise ValueError("grid times must be finite and nonnegative")
     if times[0] > 0.0:
         times = np.concatenate([[0.0], times])
     t_final = float(times[-1])
@@ -210,8 +211,8 @@ def is_cp_divisible(
     -1e-9 at every grid point, else (False, first violating time).
     """
     grid = np.asarray(grid, dtype=float)
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly ascending")
+    if np.any(np.diff(grid) <= 0) or not np.all(np.isfinite(grid)):
+        raise ValueError("grid must be finite and strictly ascending")
     for t in grid:
         eig = np.linalg.eigvalsh(gen.at(float(t)))
         if eig.min() < -1e-9:

@@ -6,13 +6,15 @@ commutes with the noise, the transverse Bloch components rotate rigidly at
 rate omega while contracting by alpha(t); the Fisher information for omega
 reduces to t^2 C(t)^2 with C the l1-norm of coherence, so preserving
 coherence directly preserves metrological power.
+
+The module evaluates no channel: its formulas take the coefficients that
+``covariant.channel_grid`` returns, elementwise over arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import covariant
 from .errors import SingularPureState
 
 PURE_TOL = 1e-12
@@ -38,33 +40,27 @@ def fisher_information_bloch(r, dr) -> float:
     return value + radial**2 / (1.0 - squared)
 
 
-def bloch_with_phase(
-    rates: covariant.CovariantRates, omega: float, t: float
-) -> np.ndarray:
-    """Bloch vector at time t of the |+> probe, including the phase rotation."""
-    ch = covariant.channel_at(rates, t)
+def bloch_with_phase(alpha, shift, omega, t) -> np.ndarray:
+    """Bloch vector at time t of the |+> probe, including the phase rotation.
+
+    ``alpha`` and ``shift`` are the channel's coefficients at t.  Elementwise
+    over arrays, with the three components along the last axis.
+    """
     angle = omega * t
-    return np.array([ch.alpha * np.cos(angle), ch.alpha * np.sin(angle), -ch.shift])
+    return np.stack([alpha * np.cos(angle), alpha * np.sin(angle), -shift], axis=-1)
 
 
 def fisher_from_coherence(t, c):
     """Fisher information t^2 C^2 of a probe with l1-coherence C at time t.
 
-    Elementwise over arrays.  Exactly 0 where C = 0, also at times where
-    t^2 overflows.
+    For the |+> probe C = alpha and this is its Fisher information for any
+    phase omega: the derivative of :func:`bloch_with_phase` is a pure
+    rotation of the transverse components, so the radial term of
+    :func:`fisher_information_bloch` vanishes.  Elementwise over arrays.
+    Exactly 0 where C = 0, also at times where t^2 overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return np.where(c == 0.0, 0.0, t * t * c * c)[()]
-
-
-def fisher_information(rates: covariant.CovariantRates, t: float) -> float:
-    """Fisher information t^2 C(t)^2 of the |+> probe for any phase omega.
-
-    The radial term of the Bloch formula vanishes identically here because
-    the derivative is a pure rotation of the transverse components, and
-    the value does not depend on omega.
-    """
-    return fisher_from_coherence(t, covariant.channel_at(rates, t).alpha)
 
 
 def cramer_rao_bound(fisher):

@@ -3,7 +3,8 @@
 The process matrix of a qubit channel is F_ij = Tr[G_i Lambda(G_j)] in the
 orthonormal basis G_i = sigma_i / sqrt(2); for an affine Bloch map (M, v)
 it has the block form [[1, 0], [v, M]].  The moduli of its eigenvalues
-diagnose divisibility of the dynamics.
+diagnose divisibility of the dynamics.  Both are plain arrays, and a stack
+of maps gives a stack of process matrices and of moduli.
 
 The module also simulates, exactly and without shot noise, a linear-optics
 realization of the coherence-optimal channel: a balanced two-path
@@ -18,8 +19,6 @@ the x = 0 optimal covariant channel with exp(-2 a t) = |kappa|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import qstate
@@ -30,29 +29,26 @@ INDEX_DIFFERENCE = 0.0089
 FREQUENCY_SPREAD = 1.44e12
 
 
-@dataclass(frozen=True)
-class ProcessMatrix:
-    """Real 4x4 process matrix and its eigenvalues."""
+def f_matrix(matrix, shift=None) -> np.ndarray:
+    """Process matrix F_ij = Tr[G_i Lambda(G_j)] of an affine Bloch map.
 
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-
-    @property
-    def moduli(self) -> np.ndarray:
-        """Eigenvalue moduli sorted descending, ties broken by real part."""
-        order = np.lexsort((-self.eigenvalues.real, -np.abs(self.eigenvalues)))
-        return np.abs(self.eigenvalues)[order]
-
-
-def f_matrix(matrix, shift=None) -> ProcessMatrix:
-    """Process matrix F_ij = Tr[G_i Lambda(G_j)] of an affine Bloch map."""
+    Stacks of maps, of shapes (..., 3, 3) and (..., 3), give a stack.
+    """
     m = np.asarray(matrix, dtype=float)
     v = np.zeros(3) if shift is None else np.asarray(shift, dtype=float)
-    f = np.zeros((4, 4))
-    f[0, 0] = 1.0
-    f[1:, 0] = v
-    f[1:, 1:] = m
-    return ProcessMatrix(matrix=f, eigenvalues=np.linalg.eigvals(f))
+    f = np.zeros(m.shape[:-2] + (4, 4))
+    f[..., 0, 0] = 1.0
+    f[..., 1:, 0] = v
+    f[..., 1:, 1:] = m
+    return f
+
+
+def process_moduli(f) -> np.ndarray:
+    """Moduli of the eigenvalues of a process matrix, sorted descending.
+
+    A stack of process matrices gives one row of four moduli per matrix.
+    """
+    return np.sort(np.abs(np.linalg.eigvals(f)), axis=-1)[..., ::-1]
 
 
 def exponent(t: float) -> float:
@@ -63,11 +59,14 @@ def exponent(t: float) -> float:
     return 0.5 * (FREQUENCY_SPREAD * INDEX_DIFFERENCE * t) ** 2
 
 
-def channel_from_exponent(s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Affine Bloch map of the optical channel at decoherence exponent s."""
-    mag = float(np.exp(-s))
-    matrix = np.diag([0.5 * (1.0 + mag), 0.5 * (1.0 + mag), mag])
-    return matrix, np.zeros(3)
+def channel_from_exponent(s) -> tuple[np.ndarray, np.ndarray]:
+    """Affine Bloch map of the optical channel at decoherence exponent s;
+    an array of exponents gives a stack of maps."""
+    mag = np.exp(-np.asarray(s, dtype=float))
+    matrix = np.zeros(mag.shape + (3, 3))
+    matrix[..., 0, 0] = matrix[..., 1, 1] = 0.5 * (1.0 + mag)
+    matrix[..., 2, 2] = mag
+    return matrix, np.zeros(mag.shape + (3,))
 
 
 def half_wave(angle_deg: float) -> np.ndarray:

@@ -100,8 +100,9 @@ def random_covariant_channel(
         rates = covariant.CovariantRates.from_callables(a, x, 0.0)
     else:
         rates = covariant.CovariantRates.from_callables(a, x, rng.uniform(0.0, 1.0))
-    ch = covariant.channel_at(rates, rng.uniform(0.1, 3.0))
-    return ch.matrix, ch.shift_vector
+    coeffs = covariant.channel_grid(rates, [rng.uniform(0.1, 3.0)])
+    matrix, shift = covariant.bloch_maps(*coeffs)
+    return matrix[0], shift[0]
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +182,13 @@ def _time_dependent_optimal_rates() -> covariant.CovariantRates:
     )
 
 
-def _integral_slope(rates: covariant.CovariantRates, t: float) -> float:
-    """Difference quotient of F over [max(t - h, 0), t + h]."""
-    h = 1e-6 * max(1.0, t)
-    lo = max(t - h, 0.0)
+def _integral_slope(rates: covariant.CovariantRates, t):
+    """Difference quotient of F over [max(t - h, 0), t + h].
+
+    Elementwise over an array t for constant rates.
+    """
+    h = 1e-6 * np.maximum(1.0, t)
+    lo = np.maximum(t - h, 0.0)
     return (
         covariant.optimal_dephasing_integral(rates, t + h)
         - covariant.optimal_dephasing_integral(rates, lo)
@@ -194,20 +198,17 @@ def _integral_slope(rates: covariant.CovariantRates, t: float) -> float:
 def check_optimal_rate(seed: int = 0) -> CheckResult:
     ts = np.geomspace(1e-3, 5.0, 50)
     rates0 = covariant.CovariantRates.optimal(1.0, 0.0)
-    tanh_gaps = [
-        abs(covariant.optimal_dephasing_rate(rates0, t) + np.tanh(t)) for t in ts
-    ]
-    slope_gaps = [abs(_integral_slope(rates0, t) + np.tanh(t)) for t in ts]
-    cases = [
-        covariant.CovariantRates.optimal(a, x)
-        for a, x in ((1.0, 0.0), (1.0, 0.5), (2.0, 1.0))
-    ]
+    tanh_gaps = np.abs(covariant.optimal_dephasing_rate(rates0, ts) + np.tanh(ts))
+    slope_gaps = np.abs(_integral_slope(rates0, ts) + np.tanh(ts))
     fd_grid = np.union1d(np.linspace(0.05, 4.0, 12), np.linspace(0.05, 4.0, 15))
-    fd_gaps = [
-        abs(_integral_slope(rates, t) - covariant.optimal_dephasing_rate(rates, t))
-        for rates in [*cases, _time_dependent_optimal_rates()]
-        for t in fd_grid
-    ]
+
+    def fd_gap(rates, t):
+        return np.abs(_integral_slope(rates, t) - covariant.optimal_dephasing_rate(rates, t))
+
+    cases = ((1.0, 0.0), (1.0, 0.5), (2.0, 1.0))
+    fd_gaps = [fd_gap(covariant.CovariantRates.optimal(a, x), fd_grid) for a, x in cases]
+    timedep = _time_dependent_optimal_rates()  # no closed form: time by time
+    fd_gaps.append([fd_gap(timedep, t) for t in fd_grid])
     return _result(
         "optimal-rate",
         ("max |f+tanh t|", tanh_gaps, 1e-8),
@@ -234,33 +235,29 @@ def check_saturation(seed: int = 0) -> CheckResult:
 
 
 def check_limits(seed: int = 0) -> CheckResult:
-    i_gaps, q_gaps, oracle_states, oracle_discords = [], [], [], []
-    ratios = (0.0, 0.3, 0.5, 0.7)
-    for ratio in ratios:
-        rates = covariant.CovariantRates.optimal(1.0, ratio)
-        omega = covariant.choi_state(rates, 30.0)
-        i_gaps.append(
-            abs(
-                correlations.mutual_information(omega)
-                - correlations.asymptotic_mutual_information(ratio)
-            )
-        )
-        discord = correlations.xstate_discord(omega)
-        q_gaps.append(abs(discord - correlations.asymptotic_discord(ratio)))
-        if ratio == 0.0:
-            pin = abs(discord - 0.311278)
-        if ratio in (0.0, 0.5):
-            oracle_states.append(omega)
-            oracle_discords.append(discord)
-    oracle = correlations.discord_brute_force(np.array(oracle_states))
-    oracle_gaps = np.abs(oracle - np.array(oracle_discords))
-    image_gaps = []  # the ball flattens onto a disk of radius sqrt(1 - q^2)/2 at -q
-    times = np.array([30.0, 1e6, 1e12])  # and stays there long after e^{-2t} underflows
-    for q in (*ratios, 1.0):  # |x| = a: the disk shrinks to the point -1
+    i_gaps, q_gaps, image_gaps, oracle_states, oracle_discords = [], [], [], [], []
+    # the ball flattens onto a disk of radius sqrt(1 - q^2)/2 at -q by t = 30,
+    # and stays there long after e^{-2t} underflows
+    times = np.array([30.0, 1e6, 1e12])
+    for q in (0.0, 0.3, 0.5, 0.7, 1.0):  # |x| = a: the disk shrinks to the point -1
         rates = covariant.CovariantRates.optimal(1.0, q)
         alpha, beta, shift = covariant.channel_grid(rates, times)
         disk = np.array([[0.5 * np.sqrt(1.0 - q * q)], [0.0], [-q]])
         image_gaps.append(np.abs(np.array([alpha, beta, -shift]) - disk))
+        if q == 1.0:
+            continue
+        omega = covariant.choi_states(alpha[0], beta[0], shift[0])  # the state at t = 30
+        i_limit = correlations.asymptotic_mutual_information(q)
+        i_gaps.append(abs(correlations.mutual_information(omega) - i_limit))
+        discord = correlations.xstate_discord(omega)
+        q_gaps.append(abs(discord - correlations.asymptotic_discord(q)))
+        if q == 0.0:
+            pin = abs(discord - 0.311278)
+        if q in (0.0, 0.5):
+            oracle_states.append(omega)
+            oracle_discords.append(discord)
+    oracle = correlations.discord_brute_force(np.array(oracle_states))
+    oracle_gaps = np.abs(oracle - np.array(oracle_discords))
     return _result(
         "limits",
         ("max |I - limit|", i_gaps, 1e-4),
@@ -277,9 +274,9 @@ def check_coherence(seed: int = 0) -> CheckResult:
     pm = lindblad.propagate(
         covariant.decoherence_matrix(rates), grid=grid, r0=np.array([1.0, 0.0, 0.0])
     )
-    alpha, _, _ = covariant.channel_grid(rates, grid)
-    gaps = np.abs(np.hypot(pm.bloch[:, 0], pm.bloch[:, 1]) - alpha)
-    tail = abs(covariant.channel_at(rates, 30.0).alpha - 0.5 * np.sqrt(1.0 - 0.25))
+    alpha, _, _ = covariant.channel_grid(rates, np.append(grid, 30.0))
+    gaps = np.abs(np.hypot(pm.bloch[:, 0], pm.bloch[:, 1]) - alpha[:-1])
+    tail = abs(alpha[-1] - 0.5 * np.sqrt(1.0 - 0.25))
     return _result(
         "coherence",
         ("max |C_ode - C_closed|", gaps, 1e-7),
@@ -289,15 +286,17 @@ def check_coherence(seed: int = 0) -> CheckResult:
 
 def check_qfi(seed: int = 0) -> CheckResult:
     rates = covariant.CovariantRates.optimal(1.0, 0.3)
+    times = np.linspace(0.2, 3.0, 5)
+    alpha, _, shift = covariant.channel_grid(rates, times)
+    fishers = metrology.fisher_from_coherence(times, alpha)
     relative, radial = [], []
     h = 1e-6
-    for t in np.linspace(0.2, 3.0, 5):
-        fisher = metrology.fisher_information(rates, t)
+    for t, a, c, fisher in zip(times, alpha, shift, fishers):
         for omega in (0.1, 0.5, 1.0, 10.0):
-            plus = metrology.bloch_with_phase(rates, omega + h, t)
-            minus = metrology.bloch_with_phase(rates, omega - h, t)
+            plus = metrology.bloch_with_phase(a, c, omega + h, t)
+            minus = metrology.bloch_with_phase(a, c, omega - h, t)
             dr = (plus - minus) / (2.0 * h)
-            r = metrology.bloch_with_phase(rates, omega, t)
+            r = metrology.bloch_with_phase(a, c, omega, t)
             fd = metrology.fisher_information_bloch(r, dr)
             relative.append(abs(fd - fisher) / max(fisher, 1e-12))
             radial.append(abs(r @ dr))
@@ -345,15 +344,13 @@ def check_enm(seed: int = 0) -> CheckResult:
 def check_spectrum(seed: int = 0) -> CheckResult:
     grid = np.union1d(np.linspace(0.0, 4.0, 100), np.linspace(0.0, 4.0, 81))
     moduli = tomography.spectrum_moduli(grid)
-    errors = [
-        np.max(np.abs(tomography.f_matrix(*tomography.channel_from_exponent(s)).moduli - m))
-        for s, m in zip(grid, moduli)
-    ]
+    process = tomography.f_matrix(*tomography.channel_from_exponent(grid))
+    errors = np.abs(tomography.process_moduli(process) - moduli)
     rates = covariant.CovariantRates.optimal(1.0, 0.0)
     s_match = 0.7
     choi_gap = qstate.trace_norm(
         lindblad.choi_of_map(*tomography.channel_from_exponent(s_match))
-        - covariant.choi_state(rates, s_match / 2.0)
+        - covariant.choi_states(*covariant.channel_grid(rates, [s_match / 2.0]))[0]
     )
     m91 = tomography.spectrum_moduli(0.91)
     pin = np.max(np.abs(m91 - np.array([1.0, 0.701262, 0.701262, 0.402524])))
@@ -367,13 +364,11 @@ def check_spectrum(seed: int = 0) -> CheckResult:
             optics_gaps.append(np.max(np.abs(got - want)))
     # the crystal's exponent s = tau^2 / 2 is the optimal channel with a = tau / 2
     crystal = covariant.CovariantRates.optimal(lambda tau: 0.5 * tau, 0.0)
-    timing_gaps = []
-    for t in np.linspace(0.0, 1.5e-10, 7):
-        tau = tomography.FREQUENCY_SPREAD * tomography.INDEX_DIFFERENCE * t
-        ch = covariant.channel_at(crystal, tau)
-        optical = tomography.channel_from_exponent(tomography.exponent(t))
-        for got, want in zip((ch.matrix, ch.shift_vector), optical):
-            timing_gaps.append(np.max(np.abs(got - want)))
+    t = np.linspace(0.0, 1.5e-10, 7)
+    tau = tomography.FREQUENCY_SPREAD * tomography.INDEX_DIFFERENCE * t
+    crystal_maps = covariant.bloch_maps(*covariant.channel_grid(crystal, tau))
+    optical = tomography.channel_from_exponent(tomography.exponent(t))
+    timing_gaps = [np.max(np.abs(got - want)) for got, want in zip(crystal_maps, optical)]
     return _result(
         "spectrum",
         ("max moduli error", errors, 1e-10),

@@ -273,7 +273,8 @@ def _oscillating_optimal_rates():
     return covariant.CovariantRates.optimal(_osc_a, _osc_x)
 
 
-@pytest.mark.parametrize(
+# one case per rate kind: each integral in closed form, by quadrature or by ODE
+RATE_KINDS = pytest.mark.parametrize(
     "make_rates",
     [
         lambda: covariant.CovariantRates.from_callables(1.0, 0.4, 0.0),
@@ -290,6 +291,9 @@ def _oscillating_optimal_rates():
     ids=["zero-f", "constant-f", "a-zero", "optimal-x0", "optimal-inside",
          "optimal-edge", "expr", "time-dependent-optimal"],
 )
+
+
+@RATE_KINDS
 def test_channel_at_is_one_column_of_channel_grid(make_rates):
     rates = make_rates()
     grid = np.concatenate([[0.0], np.geomspace(1e-3, 5.0, 12)])
@@ -298,6 +302,39 @@ def test_channel_at_is_one_column_of_channel_grid(make_rates):
     for k, t in enumerate(grid):
         ch = covariant.channel_at(rates, float(t))
         assert (ch.alpha, ch.beta, ch.shift) == (alpha[k], beta[k], shift[k])
+
+
+@RATE_KINDS
+@pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
+def test_every_rate_kind_refuses_negative_or_non_finite_times(make_rates, t):
+    rates = make_rates()
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        covariant.channel_at(rates, t)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        covariant.channel_grid(rates, [0.0, 0.5, t])
+
+
+def test_bloch_maps_of_a_stack_are_the_single_maps():
+    rng = np.random.default_rng(12)
+    alpha, beta, shift = rng.uniform(-1.0, 1.0, (3, 2, 4))
+    matrices, shifts = covariant.bloch_maps(alpha, beta, shift)
+    assert matrices.shape == (2, 4, 3, 3) and shifts.shape == (2, 4, 3)
+    for idx in np.ndindex(2, 4):
+        matrix, vector = covariant.bloch_maps(alpha[idx], beta[idx], shift[idx])
+        np.testing.assert_array_equal(matrices[idx], matrix)
+        np.testing.assert_array_equal(shifts[idx], vector)
+        np.testing.assert_array_equal(
+            matrix, np.diag([alpha[idx], alpha[idx], beta[idx]])
+        )
+        np.testing.assert_array_equal(vector, [0.0, 0.0, -shift[idx]])
+
+
+def test_choi_states_are_the_choi_matrices_of_bloch_maps():
+    rates = covariant.CovariantRates.optimal(1.0, 0.3)
+    coeffs = covariant.channel_grid(rates, np.linspace(0.0, 4.0, 9))
+    np.testing.assert_array_equal(
+        covariant.choi_states(*coeffs), lindblad.choi_of_map(*covariant.bloch_maps(*coeffs))
+    )
 
 
 def test_time_dependent_channel_independent_of_query_order():
@@ -424,17 +461,14 @@ def test_dephasing_splitting_commutes():
     a, x = 1.0, 0.4
     opt = covariant.CovariantRates.optimal(a, x)
     other = covariant.CovariantRates.from_callables(a, x, 0.2)
-    for t in (0.5, 1.5, 3.0):
-        ch_other = covariant.channel_at(other, t)
-        ch_opt = covariant.channel_at(opt, t)
+    times = np.array([0.5, 1.5, 3.0])
+    other_m, other_v = covariant.bloch_maps(*covariant.channel_grid(other, times))
+    opt_m, opt_v = covariant.bloch_maps(*covariant.channel_grid(opt, times))
+    for k, t in enumerate(times):
         extra = 0.2 * t - covariant.optimal_dephasing_integral(opt, t)
         dephase = np.diag([np.exp(-extra), np.exp(-extra), 1.0])
-        np.testing.assert_allclose(
-            ch_other.matrix, dephase @ ch_opt.matrix, atol=1e-8
-        )
-        np.testing.assert_allclose(
-            ch_other.shift_vector, dephase @ ch_opt.shift_vector, atol=1e-8
-        )
+        np.testing.assert_allclose(other_m[k], dephase @ opt_m[k], atol=1e-8)
+        np.testing.assert_allclose(other_v[k], dephase @ opt_v[k], atol=1e-8)
 
 
 def test_unphysical_asymmetry_leaves_ball():

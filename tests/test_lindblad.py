@@ -166,8 +166,8 @@ def test_choi_of_map_operator_basis_oracle():
     # independent definition: the channel applied to half of the
     # maximally entangled state, expanded in the matrix-unit basis
     rates = covariant.CovariantRates.optimal(1.0, 0.4)
-    ch = covariant.channel_at(rates, 0.7)
-    matrix, shift = ch.matrix, ch.shift_vector
+    matrices, shifts = covariant.bloch_maps(*covariant.channel_grid(rates, [0.7]))
+    matrix, shift = matrices[0], shifts[0]
 
     def channel(op):
         weight = np.trace(op)
@@ -240,6 +240,31 @@ def test_non_finite_gamma_is_refused(bad):
         lindblad.propagate(turning, grid=[0.5, 1.0])
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [[np.nan], [1.0, np.inf], [0.5, np.nan, 1.0], [-np.inf, 1.0]],
+    ids=["nan", "inf-last", "nan-inside", "minus-inf-first"],
+)
+def test_non_finite_grid_times_are_refused(grid):
+    # a NaN passes the ascending and sign checks, and the ODE solve then never ends
+    gen = lindblad.DecoherenceMatrix.constant(0.5 * np.eye(3))
+    with pytest.raises(ValueError, match="finite"):
+        lindblad.propagate(gen, grid=grid)
+    with pytest.raises(ValueError, match="finite"):
+        lindblad.is_cp_divisible(gen, grid)
+    with pytest.raises(ValueError, match="finite"):
+        lindblad.correlation_decay_report(gen, qstate.BELL_PROJECTOR, grid)
+
+
+def test_propagated_map_at_refuses_non_finite_times():
+    gen = lindblad.DecoherenceMatrix.constant(0.5 * np.eye(3))
+    pm = lindblad.propagate(gen, grid=[0.5, 1.0])
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="not on the propagation grid"):
+            pm.at(t)
+    np.testing.assert_array_equal(pm.at(0.0)[0], np.eye(3))
+
+
 def test_optimal_generator_at_the_edge():
     # |x| = a: f = 0, so gamma >= 0 and the map is the closed-form channel
     rates = covariant.CovariantRates.optimal(1.0, 1.0)
@@ -258,13 +283,10 @@ def test_optimal_generator_at_the_edge():
 
 def test_choi_of_map_matches_covariant_closed_form():
     rates = covariant.CovariantRates.optimal(1.0, 0.3)
-    for t in (0.2, 1.0, 4.0):
-        ch = covariant.channel_at(rates, t)
-        np.testing.assert_allclose(
-            lindblad.choi_of_map(ch.matrix, ch.shift_vector),
-            covariant.choi_state(rates, t),
-            atol=1e-12,
-        )
+    coeffs = covariant.channel_grid(rates, [0.2, 1.0, 4.0])
+    maps = zip(*covariant.bloch_maps(*coeffs), covariant.choi_states(*coeffs))
+    for matrix, shift, omega in maps:
+        np.testing.assert_allclose(lindblad.choi_of_map(matrix, shift), omega, atol=1e-12)
 
 
 def test_choi_psd_for_valid_dynamics():
@@ -274,8 +296,8 @@ def test_choi_psd_for_valid_dynamics():
         x = rng.uniform(-a, a)
         rates = covariant.CovariantRates.optimal(a, x)
         t = rng.uniform(0.0, 4.0)
-        ch = covariant.channel_at(rates, t)
-        eig = np.linalg.eigvalsh(lindblad.choi_of_map(ch.matrix, ch.shift_vector))
+        matrices, shifts = covariant.bloch_maps(*covariant.channel_grid(rates, [t]))
+        eig = np.linalg.eigvalsh(lindblad.choi_of_map(matrices[0], shifts[0]))
         assert eig.min() >= -1e-6
 
 

@@ -7,6 +7,12 @@ from enmsim.errors import SingularPureState
 OPT = covariant.CovariantRates.optimal(1.0, 0.0)
 
 
+def _fisher(rates, times):
+    """Fisher information t^2 alpha^2 of the |+> probe on a time grid."""
+    times = np.asarray(times, dtype=float)
+    return metrology.fisher_from_coherence(times, covariant.channel_grid(rates, times)[0])
+
+
 def test_fisher_bloch_mixed_center():
     assert metrology.fisher_information_bloch([0, 0, 0], [0.3, 0, 0]) == pytest.approx(
         0.09
@@ -33,8 +39,8 @@ def test_fisher_bloch_singular_pure():
 
 
 def test_fisher_information_examples():
-    assert metrology.fisher_information(OPT, 0.0) == 0.0
-    value = metrology.fisher_information(OPT, 1.0)
+    zero, value = _fisher(OPT, [0.0, 1.0])
+    assert zero == 0.0
     coherence = 0.5 * (1 + np.exp(-2.0))
     assert value == pytest.approx(coherence**2, abs=1e-12)
     assert value == pytest.approx(0.322247, abs=1e-6)
@@ -44,7 +50,7 @@ def test_fisher_information_examples():
 
 def test_fisher_information_growth_without_bound():
     t = 30.0
-    assert metrology.fisher_information(OPT, t) / t**2 == pytest.approx(
+    assert _fisher(OPT, [t])[0] / t**2 == pytest.approx(
         0.25, abs=1e-6
     )
 
@@ -61,7 +67,9 @@ def test_fisher_matches_finite_difference_of_ode(x, times, omegas):
     rates = covariant.CovariantRates.optimal(1.0, x)
     h = 1e-6
     r0 = np.array([1.0, 0.0, 0.0])
-    for t in times:
+    alpha, _, shift = covariant.channel_grid(rates, times)
+    fisher = _fisher(rates, times)
+    for t, a, c, analytic in zip(times, alpha, shift, fisher):
         for omega in omegas:
             branches = []
             for w in (omega + h, omega - h):
@@ -69,9 +77,8 @@ def test_fisher_matches_finite_difference_of_ode(x, times, omegas):
                 pm = lindblad.propagate(gen, grid=[t], r0=r0)
                 branches.append(pm.bloch[-1])
             dr = (branches[0] - branches[1]) / (2 * h)
-            r = metrology.bloch_with_phase(rates, omega, t)
+            r = metrology.bloch_with_phase(a, c, omega, t)
             fd = metrology.fisher_information_bloch(r, dr)
-            analytic = metrology.fisher_information(rates, t)
             assert abs(fd - analytic) <= 1e-4 * analytic
             assert abs(r @ dr) < 1e-9
 
@@ -85,10 +92,21 @@ def test_optimal_rate_maximizes_fisher():
         covariant.CovariantRates.from_callables(a, x, a),
         covariant.CovariantRates.from_callables(a, x, lambda t: 0.5 * opt_rate(t)),
     ]
-    for t in (0.3, 1.0, 2.5):
-        best = metrology.fisher_information(opt, t)
-        for rival in rivals:
-            assert metrology.fisher_information(rival, t) <= best + 1e-9
+    times = (0.3, 1.0, 2.5)
+    best = _fisher(opt, times)
+    for rival in rivals:
+        assert np.all(_fisher(rival, times) <= best + 1e-9)
+
+
+def test_bloch_with_phase_is_elementwise():
+    times, omega = np.linspace(0.2, 3.0, 5), 0.5
+    alpha, _, shift = covariant.channel_grid(covariant.CovariantRates.optimal(1.0, 0.3), times)
+    stacked = metrology.bloch_with_phase(alpha, shift, omega, times)
+    assert stacked.shape == (5, 3)
+    for k, t in enumerate(times):
+        np.testing.assert_array_equal(
+            stacked[k], metrology.bloch_with_phase(alpha[k], shift[k], omega, t)
+        )
 
 
 def test_cramer_rao_examples():

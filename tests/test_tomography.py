@@ -6,16 +6,16 @@ from enmsim.verification import random_covariant_channel
 
 
 def test_f_matrix_identity_and_depolarizing():
-    np.testing.assert_allclose(tomography.f_matrix(np.eye(3)).matrix, np.eye(4))
+    np.testing.assert_allclose(tomography.f_matrix(np.eye(3)), np.eye(4))
     np.testing.assert_allclose(
-        tomography.f_matrix(np.zeros((3, 3))).matrix, np.diag([1.0, 0, 0, 0])
+        tomography.f_matrix(np.zeros((3, 3))), np.diag([1.0, 0, 0, 0])
     )
 
 
 def test_f_matrix_block_structure():
     rng = np.random.default_rng(0)
     matrix, shift = random_covariant_channel(rng)
-    f = tomography.f_matrix(matrix, shift).matrix
+    f = tomography.f_matrix(matrix, shift)
     assert f[0, 0] == 1.0
     np.testing.assert_allclose(f[0, 1:], 0.0)
     np.testing.assert_allclose(f[1:, 0], shift)
@@ -47,7 +47,7 @@ def test_f_matrix_from_operator_overlaps():
         ]
     )
     np.testing.assert_allclose(
-        tomography.f_matrix(matrix, shift).matrix, expected, atol=1e-12
+        tomography.f_matrix(matrix, shift), expected, atol=1e-12
     )
 
 
@@ -55,7 +55,7 @@ def test_f_matrix_eigenvalue_bound_for_cptp():
     rng = np.random.default_rng(2)
     for _ in range(20):
         matrix, shift = random_covariant_channel(rng)
-        moduli = tomography.f_matrix(matrix, shift).moduli
+        moduli = tomography.process_moduli(tomography.f_matrix(matrix, shift))
         assert np.all(moduli <= 1 + 1e-9)
 
 
@@ -71,14 +71,15 @@ def test_optical_channel_examples():
 
 def test_optical_channel_equals_optimal_covariant():
     rates = covariant.CovariantRates.optimal(1.0, 0.0)
-    for s in (0.3, 0.91, 2.0):
+    exponents = np.array([0.3, 0.91, 2.0])
+    coeffs = covariant.channel_grid(rates, exponents / 2.0)  # exp(-2 a t) = exp(-s)
+    for s, ch_matrix, ch_shift, omega in zip(
+        exponents, *covariant.bloch_maps(*coeffs), covariant.choi_states(*coeffs)
+    ):
         matrix, shift = tomography.channel_from_exponent(s)
-        ch = covariant.channel_at(rates, s / 2.0)  # exp(-2 a t) = exp(-s)
-        np.testing.assert_allclose(matrix, ch.matrix, atol=1e-10)
-        np.testing.assert_allclose(shift, ch.shift_vector, atol=1e-12)
-        gap = qstate.trace_norm(
-            lindblad.choi_of_map(matrix, shift) - covariant.choi_state(rates, s / 2)
-        )
+        np.testing.assert_allclose(matrix, ch_matrix, atol=1e-10)
+        np.testing.assert_allclose(shift, ch_shift, atol=1e-12)
+        gap = qstate.trace_norm(lindblad.choi_of_map(matrix, shift) - omega)
         assert gap < 1e-9
 
 
@@ -130,7 +131,7 @@ def test_spectrum_moduli_of_an_array_are_the_scalar_rows():
 def test_spectrum_matches_f_matrix():
     for s in np.linspace(0.0, 10.0, 30):
         matrix, shift = tomography.channel_from_exponent(float(s))
-        moduli = tomography.f_matrix(matrix, shift).moduli
+        moduli = tomography.process_moduli(tomography.f_matrix(matrix, shift))
         np.testing.assert_allclose(
             moduli, tomography.spectrum_moduli(float(s)), atol=1e-10
         )
@@ -142,3 +143,51 @@ def test_spectrum_monotonic():
     assert np.all(np.diff(table, axis=0) <= 1e-12)
     products = table.prod(axis=1)
     assert np.all(np.diff(products) <= 1e-12)
+
+
+def test_f_matrix_of_a_stack_is_the_single_maps():
+    rng = np.random.default_rng(5)
+    maps = [random_covariant_channel(rng) for _ in range(6)]
+    matrices = np.array([m for m, _ in maps]).reshape(2, 3, 3, 3)
+    shifts = np.array([v for _, v in maps]).reshape(2, 3, 3)
+    stacked = tomography.f_matrix(matrices, shifts)
+    assert stacked.shape == (2, 3, 4, 4)
+    for idx in np.ndindex(2, 3):
+        np.testing.assert_array_equal(
+            stacked[idx], tomography.f_matrix(matrices[idx], shifts[idx])
+        )
+    np.testing.assert_array_equal(
+        tomography.f_matrix(matrices)[1, 2], tomography.f_matrix(matrices[1, 2])
+    )
+
+
+def test_channel_from_exponent_of_an_array_is_the_scalar_maps():
+    grid = np.linspace(0.0, 4.0, 9)
+    matrices, shifts = tomography.channel_from_exponent(grid)
+    assert matrices.shape == (9, 3, 3) and shifts.shape == (9, 3)
+    for s, matrix, shift in zip(grid, matrices, shifts):
+        want_matrix, want_shift = tomography.channel_from_exponent(float(s))
+        np.testing.assert_array_equal(matrix, want_matrix)
+        np.testing.assert_array_equal(shift, want_shift)
+
+
+def _lexsort_moduli(f):
+    """Eigenvalue moduli sorted descending, ties broken by real part."""
+    eigenvalues = np.linalg.eigvals(f)
+    order = np.lexsort((-eigenvalues.real, -np.abs(eigenvalues)))
+    return np.abs(eigenvalues)[order]
+
+
+def test_process_moduli_match_the_lexsort_order_on_ties():
+    # every covariant map's moduli include the tied pair alpha, alpha: (1 + e^-s)/2 optically
+    rng = np.random.default_rng(6)
+    grid = np.linspace(0.0, 4.0, 17)
+    process = tomography.f_matrix(*tomography.channel_from_exponent(grid))
+    process = np.concatenate(
+        [process, [tomography.f_matrix(*random_covariant_channel(rng)) for _ in range(8)]]
+    )
+    moduli = tomography.process_moduli(process)
+    assert moduli.shape == (25, 4)
+    for f, row in zip(process, moduli):
+        np.testing.assert_array_equal(row, _lexsort_moduli(f))
+        np.testing.assert_array_equal(row, tomography.process_moduli(f))
