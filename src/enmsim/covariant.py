@@ -18,12 +18,14 @@ constant rates is -x/a).  The channel at time t contracts the transverse
 plane by alpha = exp(-A - F), the axis by beta = u = exp(-2A), and shifts
 it by -c with c = -lz.
 
-For constant (a, x) all of these have closed forms.  Otherwise A(t) and a
-callable non-optimal F(t) are single adaptive quadratures, and lz(t) is
-read from one dense DOP853 solve of its ODE (rtol 1e-13, atol 1e-15)
-cached on the rates object.  The solve is extended over the fixed
-segments [0, 1], [1, 2], [2, 4], [4, 8], ... as later times are asked
-for, so a value never depends on which times were queried before.
+For constant (a, x) all of these have closed forms.  Otherwise A(t) is a
+single adaptive quadrature, and lz(t) is read from one dense DOP853 solve
+of its ODE (rtol 1e-13, atol 1e-15) cached on the rates object.  The
+solve is extended over the fixed segments [0, 1], [1, 2], [2, 4],
+[4, 8], ... as later times are asked for, so a value never depends on
+which times were queried before.  A callable non-optimal F(t) is an
+adaptive Gauss-Kronrod integral over [0, t] that runs on numpy alone and
+is evaluated for a whole grid at once (:func:`_dephasing_integrals`).
 
 Complete positivity requires
 
@@ -147,6 +149,13 @@ def decoherence_matrix(
 
 
 def _quad(fn, lo, hi):
+    """QUADPACK's adaptive integral of fn over [lo, hi], for a callable ``a``.
+
+    A callable non-optimal ``f`` goes through :func:`_dephasing_integrals`
+    instead.  The two integrators stay apart for now: ``A`` is to move into
+    the cached DOP853 solve next to ``lz``, and the benchmark's counters
+    still read the calls of this one.
+    """
     # scipy is the only function-local import: commands that never call it start without it
     from scipy.integrate import quad
 
@@ -163,18 +172,162 @@ def _quad(fn, lo, hi):
     return val
 
 
-def _int_a(rates: CovariantRates, t: float) -> float:
+# The 21-point Gauss-Kronrod rule on [-1, 1] of QUADPACK's qk21 (Piessens et
+# al., QUADPACK, 1983): its nodes and weights, and the weights of the 10-point
+# Gauss rule that it extends, whose nodes are every second Kronrod node.
+_GK21_NODES = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+    -0.148874338981631210884826001129720, -0.294392862701460198131126603103866,
+    -0.433395394129247190799265943165784, -0.562757134668604683339000099272694,
+    -0.679409568299024406234327365114874, -0.780817726586416897063717578345042,
+    -0.865063366688984510732096688423493, -0.930157491355708226001207180059508,
+    -0.973906528517171720077964012084452, -0.995657163025808080735527280689003,
+])
+_GK21_WEIGHTS = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+    0.147739104901338491374841515972068, 0.142775938577060080797094273138717,
+    0.134709217311473325928054001771707, 0.123491976262065851077958109831074,
+    0.109387158802297641899210590325805, 0.093125454583697605535065465083366,
+    0.075039674810919952767043140916190, 0.054755896574351996031381300244580,
+    0.032558162307964727478818972459390, 0.011694638867371874278064396062192,
+])
+_G10_WEIGHTS = np.zeros(21)
+_G10_WEIGHTS[1::2] = [
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338, 0.295524224714752870173892994651338,
+    0.269266719309996355091226921569469, 0.219086362515982043995534934228163,
+    0.149451349150580593145776339657697, 0.066671344308688137593568809893332,
+]
+#: Absolute and relative tolerance, and subinterval limit, of each F(t).
+_GK_TOL = 1e-12
+_GK_LIMIT = 200
+#: Times integrated together.  It bounds the node arrays, and a divergent
+#: integral fails before the later blocks of a large grid are evaluated.
+_GK_BLOCK = 512
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _gk21(f, lo, hi):
+    """QUADPACK's qk21 on every panel [lo, hi], lo <= hi: (integrals, error estimates).
+
+    The rate is called once per node as a scalar function, because numpy's
+    array exp and tanh differ from math's by an ulp.  The weights are
+    applied by products and row sums, not a BLAS product, whose rounding
+    depends on how many rows it holds: a panel's value depends on the panel
+    alone.  The error estimate is qk21's, |K - G| scaled by resasc, the
+    Kronrod integral of |f - K/2|, and bounded below by 50 eps resabs.
+    """
+    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes = center[:, None] + half[:, None] * _GK21_NODES
+    values = np.array(list(map(f, nodes.ravel().tolist())), dtype=float)
+    values = values.reshape(nodes.shape)
+    with np.errstate(all="ignore"):
+        kronrod = (values * _GK21_WEIGHTS).sum(axis=-1)
+        gauss = (values * _G10_WEIGHTS).sum(axis=-1)
+        resabs = (np.abs(values) * _GK21_WEIGHTS).sum(axis=-1) * half
+        resasc = (np.abs(values - 0.5 * kronrod[:, None]) * _GK21_WEIGHTS).sum(axis=-1) * half
+        err = np.abs(kronrod - gauss) * half
+        scaled = resasc * np.minimum(1.0, 200.0 * err / resasc) ** 1.5
+        err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+        err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
+        integral = kronrod * half
+    bad = ~(np.isfinite(integral) & np.isfinite(err))
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        raise QuadratureFailed(
+            f"dephasing rate integral on [{lo[k]:.12g}, {hi[k]:.12g}] is not finite"
+        )
+    return integral, err
+
+
+def _dephasing_integrals(f, times):
+    """F(t) = int_0^t f for every time t >= 0 of an array (or one time).
+
+    Each time is integrated over its own [0, t], so F is a function of t
+    alone: a grid column equals the same time asked alone.  The times go in
+    blocks of ``_GK_BLOCK``, and each round of a block evaluates the new
+    panels of all its unfinished times with one pass of rate calls.  A time
+    is done when its panels' summed error estimate is at most
+    max(_GK_TOL, _GK_TOL |F|), QUADPACK's rule; otherwise its worst panel is
+    bisected.  A time that needs more than ``_GK_LIMIT`` panels, or a panel
+    too narrow to bisect, raises :class:`QuadratureFailed`.
+    """
+    times = np.asarray(times, dtype=float)
+    flat = times.ravel()
+    out = np.zeros(flat.shape)
+    for start in range(0, flat.size, _GK_BLOCK):
+        out[start:start + _GK_BLOCK] = _dephasing_block(f, flat[start:start + _GK_BLOCK])
+    return out.reshape(times.shape)[()]
+
+
+def _dephasing_block(f, times):
+    owner = np.flatnonzero(times > 0.0)  # F(0) = 0 needs no rate call
+    lo, hi = np.zeros(owner.size), times[owner]
+    value, err = _gk21(f, lo, hi)
+    while True:
+        # bincount adds each time's panels in an order set by that time alone
+        area = np.bincount(owner, value, minlength=times.size)
+        errsum = np.bincount(owner, err, minlength=times.size)
+        todo = errsum > np.maximum(_GK_TOL, _GK_TOL * np.abs(area))
+        if not todo.any():
+            return area
+        full = todo & (np.bincount(owner, minlength=times.size) >= _GK_LIMIT)
+        if full.any():
+            k = np.flatnonzero(full)[0]
+            raise QuadratureFailed(
+                f"dephasing rate integral up to t={times[k]:.12g} not resolved in "
+                f"{_GK_LIMIT} subintervals (error estimate {errsum[k]:.3g})"
+            )
+        # the panel with the largest error of each unfinished time
+        cand = np.flatnonzero(todo[owner])
+        cand = cand[np.lexsort((-err[cand], owner[cand]))]
+        worst = cand[np.r_[True, owner[cand][1:] != owner[cand][:-1]]]
+        a, b = lo[worst], hi[worst]
+        mid = 0.5 * (a + b)
+        narrow = b <= (1.0 + 100.0 * _EPS) * (mid + 1000.0 * _TINY)  # QUADPACK's test
+        if narrow.any():
+            k = np.flatnonzero(narrow)[0]
+            raise QuadratureFailed(
+                f"dephasing rate integral up to t={times[owner[worst[k]]]:.12g} does not "
+                f"converge near t={mid[k]:.12g}"
+            )
+        # the left half takes the worst panel's place, the right half is appended
+        n = worst.size
+        new_value, new_err = _gk21(f, np.concatenate([a, mid]), np.concatenate([mid, b]))
+        value[worst], err[worst], hi[worst] = new_value[:n], new_err[:n], mid
+        owner = np.concatenate([owner, owner[worst]])
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([hi, b])
+        value, err = np.concatenate([value, new_value[n:]]), np.concatenate([err, new_err[n:]])
+
+
+def _int_a(rates: CovariantRates, t):
     if rates.a_const is not None:
         return rates.a_const * t
+    if isinstance(t, np.ndarray):  # a callable a is integrated time by time
+        return np.array([_int_a(rates, s) for s in t.tolist()])
     return _quad(rates.a, 0.0, t)
 
 
-def _lz(rates: CovariantRates, t: float) -> float:
+def _lz(rates: CovariantRates, t):
     if rates.is_constant_ax:
         a, x = rates.a_const, rates.x_const
         if a == 0.0:
             return -2.0 * (x * t)
         return -(x / a) * (1.0 - np.exp(-2.0 * (a * t)))
+    if isinstance(t, np.ndarray):  # read from the cached dense solve time by time
+        return np.array([_lz(rates, s) for s in t.tolist()])
     if not 0.0 <= t < np.inf:
         raise ValueError(f"lz needs a finite time t >= 0, got {t}")
     if t == 0.0:
@@ -221,7 +374,11 @@ def _populations(rates: CovariantRates, u, lz):
         q = rates.x_const / rates.a_const
         return 0.5 * ((1.0 - q) + u * (1.0 + q)), 0.5 * ((1.0 + q) + u * (1.0 - q))
     m, p = 0.5 * (1.0 + u + lz), 0.5 * (1.0 + u - lz)
-    if m <= 0.0 or p <= 0.0:
+    if isinstance(m, np.ndarray):
+        infeasible = ((m <= 0.0) | (p <= 0.0)).any()
+    else:  # per-time callers (the ODE right-hand side) skip a numpy reduction
+        infeasible = m <= 0.0 or p <= 0.0
+    if infeasible:
         raise InfeasibleRates("1 + e^{-2A} <= |lz|: no admissible dephasing")
     return m, p
 
@@ -261,9 +418,8 @@ def optimal_dephasing_rate(rates: CovariantRates, t: float) -> float:
 
 
 def _coefficients(rates: CovariantRates, t):
-    """(alpha, beta, shift) at time t; elementwise on an array t when every
-    integral has a closed form (constant a and x, constant or optimal f).
-    Every rate kind refuses a negative or non-finite time, which has no channel."""
+    """(alpha, beta, shift) at time t, or elementwise on an array t.  Every
+    rate kind refuses a negative or non-finite time, which has no channel."""
     if isinstance(t, np.ndarray):
         valid = np.all((0.0 <= t) & (t < np.inf))
     else:  # a per-time caller pays one float comparison, not a numpy reduction
@@ -280,7 +436,7 @@ def _coefficients(rates: CovariantRates, t):
     elif rates.f_const is not None:
         alpha = np.exp(-big_a - rates.f_const * t)
     else:
-        alpha = np.exp(-big_a - _quad(rates.f, 0.0, t))
+        alpha = np.exp(-big_a - _dephasing_integrals(rates.f, t))
     return alpha, beta, -lz
 
 
@@ -306,14 +462,11 @@ def channel_at(rates: CovariantRates, t: float) -> CovariantChannelAt:
 def channel_grid(rates: CovariantRates, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arrays (alpha, beta, shift) of the channel at every time of a grid.
 
-    Closed forms run once on the whole array; a rate without one (a
-    callable a, x or non-optimal f) is integrated time by time.
+    Closed forms run once on the whole array, and a callable non-optimal f
+    is one batched integral; a callable a, and lz for a callable a or x,
+    are read time by time.
     """
-    times = np.asarray(times, dtype=float)
-    if rates.is_constant_ax and (rates.f_is_optimal or rates.f_const is not None):
-        return _coefficients(rates, times)
-    values = [_coefficients(rates, float(t)) for t in times]
-    return tuple(np.array(values, dtype=float).reshape(-1, 3).T)
+    return _coefficients(rates, np.asarray(times, dtype=float))
 
 
 def cptp_conditions(alpha, beta, shift):

@@ -37,7 +37,7 @@ def bloch_to_density(r) -> np.ndarray:
     if r.shape != (3,):
         raise ValueError("Bloch vector must have exactly 3 components")
     norm = float(np.linalg.norm(r))
-    if norm > 1.0 + BLOCH_TOL:
+    if not norm <= 1.0 + BLOCH_TOL:  # written so that a NaN norm fails too
         raise BlochOutOfBall(f"|r| = {norm} exceeds 1")
     return 0.5 * (SIGMA_0 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z)
 
@@ -52,9 +52,9 @@ def von_neumann_entropy(rho):
     """Von Neumann entropy -Tr[rho log2 rho] in bits.
 
     Nonpositive eigenvalues add nothing to the sum; an eigenvalue below
-    -1e-9 raises :class:`NotAState`.
+    -1e-9, or a non-finite entry, raises :class:`NotAState`.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = finite_states(rho)
     eig = np.linalg.eigvalsh(rho)
     if (eig < -PSD_TOL).any():
         raise NotAState(f"negative eigenvalue {eig.min()}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import correlations, covariant, lindblad, metrology, qstate, tomography
-from .errors import ConfigError
+from .errors import BlochOutOfBall, ConfigError
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,11 @@ def check_roundtrip(seed: int = 0) -> CheckResult:
         r = random_bloch(rng)
         rho = qstate.bloch_to_density(r)
         back = qstate.density_to_bloch(rho)
-        rebuilt = qstate.bloch_to_density(back)
-        errors += [np.max(np.abs(back - r)), np.max(np.abs(rebuilt - rho))]
+        try:
+            rebuilt_error = np.max(np.abs(qstate.bloch_to_density(back) - rho))
+        except BlochOutOfBall:  # a NaN or out-of-ball round trip fails the claim
+            rebuilt_error = np.inf
+        errors += [np.max(np.abs(back - r)), rebuilt_error]
     return _result("roundtrip", ("max round-trip error", errors, 1e-12))
 
 

@@ -338,6 +338,22 @@ def test_constant_rate_commands_start_without_scipy():
     assert loaded == []
 
 
+def test_expr_tables_start_without_scipy():
+    # the dephasing integral of an expr: rate runs on numpy alone
+    codes, loaded = _cold_start([
+        f"{command} --a 1 --x 0 --f expr:-0.9*tanh(t) --t-max 3 --points 50"
+        for command in ("choi", "correlations", "coherence")
+    ])
+    assert codes == [0, 0, 0]
+    assert loaded == []
+    # at x = 0.4, -0.9 tanh t breaks CPTP once the grid is integrated, and
+    # -0.5 tanh t reaches the discord's polish, which loads scipy.optimize
+    codes, loaded = _cold_start(["correlations --x 0.4 --f expr:-0.9*tanh(t)",
+                                 "correlations --x 0.4 --f expr:-0.5*tanh(t)"])
+    assert codes == [2, 0]
+    assert "scipy.integrate" not in loaded
+
+
 def test_correlations_loads_no_quadrature_or_ode():
     codes, loaded = _cold_start(["correlations --a 1 --x 0 --f optimal --t-max 3 --points 50"])
     assert codes == [0]

@@ -1,13 +1,14 @@
 import decimal
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
 from enmsim import cli, covariant, lindblad
-from enmsim.errors import InfeasibleRates
+from enmsim.errors import InfeasibleRates, QuadratureFailed
 from enmsim.expressions import compile_rate_expression
 
 
@@ -287,9 +288,12 @@ RATE_KINDS = pytest.mark.parametrize(
             1.0, 0.2, compile_rate_expression("-0.9*tanh(t)")
         ),
         _oscillating_optimal_rates,
+        lambda: covariant.CovariantRates.from_callables(
+            _osc_a, _osc_x, compile_rate_expression("-0.3*tanh(t)")
+        ),
     ],
     ids=["zero-f", "constant-f", "a-zero", "optimal-x0", "optimal-inside",
-         "optimal-edge", "expr", "time-dependent-optimal"],
+         "optimal-edge", "expr", "time-dependent-optimal", "time-dependent-expr"],
 )
 
 
@@ -302,6 +306,60 @@ def test_channel_at_is_one_column_of_channel_grid(make_rates):
     for k, t in enumerate(grid):
         ch = covariant.channel_at(rates, float(t))
         assert (ch.alpha, ch.beta, ch.shift) == (alpha[k], beta[k], shift[k])
+
+
+@pytest.mark.parametrize("k", [0.9, 1.0])
+def test_dephasing_integral_matches_log_cosh(k):
+    # f = -k tanh t has F = -k log cosh t, so with a = 1 and x = 0 the channel
+    # has alpha = e^{-t} cosh(t)^k, which numpy evaluates within a few ulps
+    rates = covariant.CovariantRates.from_callables(1.0, 0.0, lambda t: -k * math.tanh(t))
+    for grid in (np.linspace(0.0, 4.0, 80), np.geomspace(1e-3, 30.0, 10_000)):
+        alpha, _, _ = covariant.channel_grid(rates, grid)
+        exact = np.exp(-grid) * np.cosh(grid) ** k
+        assert np.max(np.abs(alpha / exact - 1.0)) <= 1e-14, grid.size
+
+
+def test_dephasing_integral_rate_calls_on_the_golden_grid():
+    # the grid of `coherence --f expr:-tanh(t) --t-max 4 --points 80`, on which
+    # one QUADPACK call per time spent 2,793 rate calls
+    rate, calls = compile_rate_expression("-tanh(t)"), []
+
+    def counted(t):
+        calls.append(t)
+        return rate(t)
+
+    rates = covariant.CovariantRates.from_callables(1.0, 0.0, counted)
+    covariant.channel_grid(rates, np.linspace(0.0, 4.0, 80))
+    assert 0 < len(calls) <= 2793
+
+
+def test_dephasing_integral_depends_on_its_time_alone():
+    # more times than one block of the integral holds, in two orders: each
+    # column is the value of its time asked alone, to the last bit
+    rates = covariant.CovariantRates.from_callables(
+        1.0, 0.2, compile_rate_expression("-0.9*tanh(t)+0.3*sinh(t/4)")
+    )
+    grid = np.geomspace(1e-3, 8.0, 1100)
+    alpha, _, _ = covariant.channel_grid(rates, grid)
+    backwards, _, _ = covariant.channel_grid(rates, grid[::-1])
+    np.testing.assert_array_equal(backwards[::-1], alpha)
+    for k in range(0, grid.size, 37):
+        assert covariant.channel_at(rates, float(grid[k])).alpha == alpha[k]
+
+
+@pytest.mark.parametrize(
+    "rate",
+    [lambda t: 1.0 / (t - 1.0), lambda t: 1.0 / t, lambda t: math.sin(1.0 / t),
+     lambda t: math.nan, lambda t: 1e308],
+    ids=["pole", "pole-at-zero", "oscillating", "nan", "overflowing"],
+)
+def test_dephasing_integral_failures_raise_one_line(rate):
+    rates = covariant.CovariantRates.from_callables(1.0, 0.0, rate)
+    with pytest.raises(QuadratureFailed) as grid_error:
+        covariant.channel_grid(rates, [0.0, 1.5, 3.0])
+    assert len(str(grid_error.value).splitlines()) == 1
+    with pytest.raises(QuadratureFailed):
+        covariant.channel_at(rates, 1.5)
 
 
 @RATE_KINDS

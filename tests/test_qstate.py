@@ -33,6 +33,12 @@ def test_bloch_to_density_validates_ball():
     qstate.bloch_to_density([1.0 + 1e-10, 0, 0])
 
 
+@pytest.mark.parametrize("r", [[np.nan, 0, 0], [0, np.inf, 0], [0, 0, -np.inf]])
+def test_bloch_to_density_refuses_non_finite_vectors(r):
+    with pytest.raises(BlochOutOfBall):
+        qstate.bloch_to_density(r)
+
+
 def test_density_to_bloch_examples():
     np.testing.assert_allclose(qstate.density_to_bloch(np.eye(2) / 2), 0, atol=1e-15)
     np.testing.assert_allclose(
@@ -65,6 +71,18 @@ def test_entropy_examples():
 def test_entropy_rejects_negative_eigenvalues():
     with pytest.raises(NotAState):
         qstate.von_neumann_entropy(np.diag([1.1, -0.1]))
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_entropy_refuses_non_finite_entries(dim, value):
+    with pytest.raises(NotAState, match="finite"):
+        qstate.von_neumann_entropy(np.full((dim, dim), value))
+    rho = np.eye(dim, dtype=complex) / dim
+    rho[0, 1] = rho[1, 0] = value
+    stack = np.stack([np.eye(dim) / dim, rho])
+    with pytest.raises(NotAState, match="finite"):
+        qstate.von_neumann_entropy(stack)
 
 
 @pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
