@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -45,6 +46,12 @@ MAX_POINTS = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only -5, -.5 and -0.5 for numbers, and would read
+        # -1e-3 or -0.5,0,0 as an unknown flag; no enmsim flag starts -DIGIT.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # argparse would sys.exit(2)
         raise ConfigError(message)
 
@@ -57,7 +64,7 @@ def _finite_float(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
+    return value + 0.0  # -0 reads as 0, so no table prints a -0 cell
 
 
 def _seed(text: str) -> int:
@@ -203,60 +210,68 @@ def _channels(cfg: argparse.Namespace):
     return times, alpha, beta, shift
 
 
-def _format_number(x: float) -> str:
-    return f"{float(x):.12g}"
+#: Rows converted to Python floats at a time: a whole column's floats would
+#: outweigh the array they come from.
+_BLOCK_ROWS = 1 << 16
 
 
-def format_csv(headers, rows) -> str:
-    lines = [",".join(headers)]
-    for row in rows:
-        lines.append(",".join(_format_number(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _rows(columns, null=None):
+    """Rows of equal-length columns as tuples of Python floats, a block at a time.
+
+    With ``null`` given, it stands in for every non-finite value.
+    """
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [c[start : start + _BLOCK_ROWS] for c in columns]
+        cells = [b.tolist() for b in block]
+        if null is not None:
+            for b, column in zip(block, cells):
+                for k in np.flatnonzero(~np.isfinite(b)).tolist():
+                    column[k] = null
+        yield from zip(*cells)
 
 
-def _json_number(x) -> float | None:
-    x = float(x)
-    return x if np.isfinite(x) else None
+def format_csv(headers, columns) -> str:
+    row = ",".join(["%.12g"] * len(headers))
+    return "\n".join([",".join(headers), *(row % r for r in _rows(columns))]) + "\n"
 
 
-def format_json(headers, rows) -> str:
+def format_json(headers, columns) -> str:
     """Strict JSON: non-finite values (such as an infinite bound) become null."""
-    payload = [dict(zip(headers, (_json_number(v) for v in row))) for row in rows]
-    return json.dumps(payload, separators=(",", ":"), allow_nan=False) + "\n"
+    row = "{" + ",".join(f"{json.dumps(h)}:%s" for h in headers) + "}"
+    return "[" + ",".join(row % r for r in _rows(columns, null="null")) + "]\n"
 
 
-def emit(cfg: argparse.Namespace, headers, rows, sink) -> None:
-    text = format_csv(headers, rows) if cfg.fmt == "csv" else format_json(headers, rows)
+def emit(cfg: argparse.Namespace, headers, columns, sink) -> None:
+    text = format_csv(headers, columns) if cfg.fmt == "csv" else format_json(headers, columns)
     sink.write(text)
 
 
 def cmd_trajectory(cfg: argparse.Namespace, sink) -> int:
     times, alpha, beta, shift = _channels(cfg)
-    rows = zip(times, alpha * cfg.r0[0], alpha * cfg.r0[1], beta * cfg.r0[2] - shift)
-    emit(cfg, ("t", "r1", "r2", "r3"), rows, sink)
+    columns = (times, alpha * cfg.r0[0], alpha * cfg.r0[1], beta * cfg.r0[2] - shift)
+    emit(cfg, ("t", "r1", "r2", "r3"), columns, sink)
     return EXIT_OK
 
 
 def cmd_choi(cfg: argparse.Namespace, sink) -> int:
     times, alpha, beta, shift = _channels(cfg)
     floors = np.linalg.eigvalsh(covariant.choi_states(alpha, beta, shift)).min(axis=-1)
-    rows = zip(times, alpha, beta, shift, floors)
-    emit(cfg, ("t", "alpha", "beta", "c", "min_eigenvalue"), rows, sink)
+    emit(cfg, ("t", "alpha", "beta", "c", "min_eigenvalue"),
+         (times, alpha, beta, shift, floors), sink)
     return EXIT_OK
 
 
 def cmd_correlations(cfg: argparse.Namespace, sink) -> int:
-    rows = [  # the fields of a CorrelationPoint are the columns
-        tuple(vars(point).values())
-        for point in correlations.correlation_points(*_channels(cfg))
-    ]
-    emit(cfg, ("t", "E", "I", "Q", "D", "C"), rows, sink)
+    table = correlations.correlation_points(*_channels(cfg))
+    columns = [table[name] for name in table.dtype.names]
+    emit(cfg, ("t", "E", "I", "Q", "D", "C"), columns, sink)
     return EXIT_OK
 
 
 def cmd_coherence(cfg: argparse.Namespace, sink) -> int:
     times, alpha, _, _ = _channels(cfg)
-    emit(cfg, ("t", "C"), zip(times, alpha), sink)
+    emit(cfg, ("t", "C"), (times, alpha), sink)
     return EXIT_OK
 
 
@@ -267,21 +282,16 @@ def cmd_qfi(cfg: argparse.Namespace, sink) -> int:
     if overflow.any():
         t = times[np.argmax(overflow)]
         raise ConfigError(f"Fisher information t^2 C^2 overflows at t={t:.12g}")
-    rows = zip(times, fisher, metrology.cramer_rao_bound(fisher))
-    emit(cfg, ("t", "qfi", "cramer_rao"), rows, sink)
+    emit(cfg, ("t", "qfi", "cramer_rao"),
+         (times, fisher, metrology.cramer_rao_bound(fisher)), sink)
     return EXIT_OK
 
 
 def cmd_spectrum(cfg: argparse.Namespace, sink) -> int:
     s = np.linspace(0.0, cfg.s_max, cfg.points)
     moduli = tomography.spectrum_moduli(s)
-    rows = zip(s, *moduli.T, moduli.prod(axis=-1))
-    emit(
-        cfg,
-        ("s", "lambda1", "lambda2", "lambda3", "lambda4", "product"),
-        rows,
-        sink,
-    )
+    emit(cfg, ("s", "lambda1", "lambda2", "lambda3", "lambda4", "product"),
+         (s, *moduli.T, moduli.prod(axis=-1)), sink)
     return EXIT_OK
 
 

@@ -10,8 +10,6 @@ the oracle included, maps one 4x4 state or a (..., 4, 4) stack of states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import covariant, qstate
@@ -334,39 +332,22 @@ def asymptotic_discord(ratio: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class CorrelationPoint:
-    t: float
-    negativity: float
-    mutual_information: float
-    discord: float
-    geometric_discord: float
-    coherence: float
-
-
-def correlation_points(times, alpha, beta, shift) -> list[CorrelationPoint]:
+def correlation_points(times, alpha, beta, shift) -> np.recarray:
     """Correlation measures of the Choi states of the channels along a grid.
 
     Each measure is evaluated once on the stack of closed-form Choi states;
     the coherence is the transverse contraction alpha(t), the l1-coherence
-    of the channel's image of a state with unit initial coherence.
+    of the channel's image of a state with unit initial coherence.  The
+    record array has one field per column (``table.discord``) and one
+    record per time (``table[k].discord``).
     """
     omegas = covariant.choi_states(alpha, beta, shift)
-    e, i, d = negativity(omegas), mutual_information(omegas), geometric_discord(omegas)
-    q = xstate_discord(omegas)
-    return [
-        CorrelationPoint(
-            t=float(times[k]),
-            negativity=float(e[k]),
-            mutual_information=float(i[k]),
-            discord=float(q[k]),
-            geometric_discord=float(d[k]),
-            coherence=float(alpha[k]),
-        )
-        for k in range(len(omegas))
-    ]
+    columns = (times, negativity(omegas), mutual_information(omegas),
+               xstate_discord(omegas), geometric_discord(omegas), alpha)
+    names = "t,negativity,mutual_information,discord,geometric_discord,coherence"
+    return np.rec.fromarrays(columns, names=names)
 
 
-def correlation_table(rates: covariant.CovariantRates, times) -> list[CorrelationPoint]:
+def correlation_table(rates: covariant.CovariantRates, times) -> np.recarray:
     """:func:`correlation_points` of the channel over a time grid."""
     return correlation_points(times, *covariant.channel_grid(rates, times))

@@ -206,6 +206,50 @@ def test_json_output_is_strict():
     assert all(isinstance(row["cramer_rao"], float) for row in rows[1:])
 
 
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, 1e16, 1e308,
+                  np.inf, -np.inf, np.nan]
+
+
+def test_row_templates_match_per_cell_formatting():
+    columns = (np.array(SPECIAL_VALUES), np.array(SPECIAL_VALUES[::-1]))
+    headers = ("t", "x")
+    rows = list(zip(*columns))
+    want_csv = "t,x\n" + "".join(f"{a:.12g},{b:.12g}\n" for a, b in rows)
+    assert cli.format_csv(headers, columns) == want_csv
+    nulled = [{h: v if np.isfinite(v) else None for h, v in zip(headers, row)} for row in rows]
+    want_json = json.dumps(nulled, separators=(",", ":"), allow_nan=False) + "\n"
+    assert cli.format_json(headers, columns) == want_json
+
+
+def _stdout(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("coherence", "--x", "-1e-3"),
+    ("trajectory", "--r0", "-0.5,0,0"),
+    ("trajectory", "--r0", "-.1,0,0"),
+])
+def test_negative_values_read_as_values(command, flag, value, capsys):
+    grid = ["--t-max", "1", "--points", "4"]
+    spaced = _stdout([command, flag, value, *grid], capsys)
+    assert spaced == _stdout([command, f"{flag}={value}", *grid], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    "spectrum --s-max {} --points 2",
+    "choi --x {} --points 3",
+    "trajectory --r0={},0,1 --x 0.5 --points 3",
+])
+def test_negative_zero_flags_print_as_zero(argv, capsys):
+    out = _stdout(argv.format("-0").split(), capsys)
+    assert out == _stdout(argv.format("0").split(), capsys)
+    assert "-0," not in out and not out.endswith("-0\n")
+
+
 def test_qfi_is_zero_where_coherence_vanishes():
     # alpha underflows to 0 while t^2 overflows: the Fisher information is 0, not NaN
     base = "qfi --a 0.5 --x 0.5 --f constant:3 --t-max 1e300 --points 3".split()

@@ -4,7 +4,7 @@ the ``verify`` report at two seeds.
 Each file under ``goldens/`` is the stdout of the invocation named beside it.
 The files were written once from the CLI and must only change together with
 a deliberate, documented change of output.  Grids too large to keep as files
-are guarded by the sha256 of their CSV stdout, recorded the same way.
+are guarded by the sha256 of their stdout, recorded the same way.
 """
 
 import hashlib
@@ -56,6 +56,11 @@ DIGESTS = {
         "3b7e4851936636e2bc4e0a97920e1fb4857a3ffd1f9e0dfff7d535b47ba88a10",
     "spectrum --s-max 4 --points 100000":
         "c78cad878620aa277c532c0ec9159280c0272fc002f372bdb4474afa3c0465bb",
+    # JSON with a null at t = 0, longer than one formatting block of rows
+    "qfi --x 0.4 --t-max 5 --points 100000 --format json":
+        "5847194654fe728e852734847287dc9350d769803e7f5bf813cb3e549f5fc8f1",
+    f"correlations {_LOG_GRID} --points 2000 --format json":
+        "315ba59119f3cda9013d1793387f7fd2cb29fc430d1f4bbfa1a0853245858b01",
 }
 
 
